@@ -16,9 +16,14 @@ The "schema" key may be omitted on input and defaults to "tfsim/1";
 unknown gates, wrong arities, and non-finite numbers are rejected with a
 :class:`~tfsim.exceptions.SchemaError` that names the offending location.
 
-Each input mode starts as a Gaussian of the given spectral width (width 1 is
-the reference vacuum), implemented as a bandwidth-scaling gate on the unit
-vacuum; the ops then run in order.
+Gate names, target counts, parameter names and parameter constraints all come
+from the gate table :data:`tfsim.gaussian.GATES`. Each input mode starts as a
+Gaussian of the given spectral width (width 1 is the reference vacuum),
+implemented as a bandwidth-scaling gate on the unit vacuum; the ops then run
+in order. :func:`gate_ops` lists these steps as :class:`GateSpec` entries, the
+input scalings first, and :func:`run_circuit` applies each step's table block
+to the touched rows and columns of the covariance only, so a gate costs O(N)
+rather than a dense 2N x 2N product.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import SchemaError, UnknownGateError
-from .gaussian import apply, displace, fbs, frft, scale, vacuum_state
+from .gaussian import GATES, GaussianTFState, gate_block, mode_indices
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,15 +48,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "tfsim/1"
-
-# gate name -> (number of targets, required parameter names)
-_GATE_SIGNATURES = {
-    "fbs": (2, ()),
-    "frft": (1, ("phi",)),
-    "scale": (1, ("s",)),
-    "displace": (1, ("omega0", "t0")),
-}
-
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -108,9 +106,9 @@ def _parse_op(entry, index, modes):
         raise SchemaError("expected an object", location=location)
     _require_keys(entry, ("gate", "targets"), ("params",), location)
     gate = entry["gate"]
-    if not isinstance(gate, str) or gate not in _GATE_SIGNATURES:
+    if not isinstance(gate, str) or gate not in GATES:
         raise UnknownGateError(f"unknown gate {gate!r}", location=f"{location}.gate")
-    arity, param_names = _GATE_SIGNATURES[gate]
+    arity, param_names = GATES[gate].arity, GATES[gate].params
     targets = entry["targets"]
     if not isinstance(targets, list) or len(targets) != arity:
         raise SchemaError(
@@ -125,16 +123,17 @@ def _parse_op(entry, index, modes):
                 f"target {t} outside 0..{modes - 1}", location=f"{location}.targets[{j}]"
             )
         clean_targets.append(t)
-    if arity == 2 and clean_targets[0] == clean_targets[1]:
+    if len(set(clean_targets)) != arity:
         raise SchemaError("targets must be distinct", location=f"{location}.targets")
     raw_params = entry.get("params", {})
     if not isinstance(raw_params, dict):
         raise SchemaError("expected an object", location=f"{location}.params")
     _require_keys(raw_params, param_names, (), f"{location}.params")
-    params = {
-        name: _number(raw_params[name], f"{location}.params.{name}", positive=(name == "s"))
-        for name in param_names
-    }
+    params = {name: _number(raw_params[name], f"{location}.params.{name}") for name in param_names}
+    try:
+        GATES[gate].build(**params)
+    except ValueError as exc:
+        raise SchemaError(str(exc), location=f"{location}.params") from exc
     return GateSpec(gate=gate, targets=tuple(clean_targets), params=params)
 
 
@@ -183,28 +182,30 @@ def circuit_to_json(spec):
 
 
 def gate_ops(spec):
-    """Symplectic operators for the circuit: input scalings, then the gates."""
-    n = spec.modes
-    ops = [
-        scale(mode, width, n)
+    """The circuit's steps as GateSpecs: input-width scalings, then ``spec.ops``."""
+    scalings = tuple(
+        GateSpec(gate="scale", targets=(mode,), params={"s": width})
         for mode, width in enumerate(spec.inputs)
         if width != 1.0
-    ]
-    for op in spec.ops:
-        if op.gate == "fbs":
-            ops.append(fbs(op.targets[0], op.targets[1], n))
-        elif op.gate == "frft":
-            ops.append(frft(op.targets[0], op.params["phi"], n))
-        elif op.gate == "scale":
-            ops.append(scale(op.targets[0], op.params["s"], n))
-        else:
-            ops.append(displace(op.targets[0], op.params["omega0"], op.params["t0"], n))
-    return ops
+    )
+    return scalings + tuple(spec.ops)
 
 
 def run_circuit(spec):
-    """Execute the circuit on the vacuum and return the final Gaussian state."""
-    state = vacuum_state(spec.modes)
+    """Execute the circuit on the vacuum and return the final Gaussian state.
+
+    Each step updates only the rows and columns of its targets; the state is
+    validated once, at the end.
+    """
+    n = spec.modes
+    mean = np.zeros(2 * n)
+    cov = 0.5 * np.eye(2 * n)
     for op in gate_ops(spec):
-        state = apply(state, op)
-    return state
+        idx = mode_indices(op.targets, n)
+        block, shift = gate_block(op.gate, op.params)
+        cov[idx, :] = block @ cov[idx, :]
+        cov[:, idx] = cov[:, idx] @ block.T
+        mean[idx] = block @ mean[idx]
+        if shift is not None:
+            mean[idx] += shift
+    return GaussianTFState(mean, cov)

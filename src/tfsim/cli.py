@@ -66,8 +66,6 @@ def _parse_pattern(text):
         values = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"pattern must be comma-separated integers, got {text!r}") from exc
-    if any(v < 0 for v in values):
-        raise ValueError("pattern entries must be nonnegative")
     return tuple(values)
 
 

@@ -36,7 +36,7 @@ from scipy.special import roots_hermite
 
 from .exceptions import CostGuardError, InsufficientMassError
 from .gaussian import purity_defect, to_complex_covariance
-from .hafnian import reduced_hafnian
+from .hafnian import _check_pattern, reduced_hafnian
 from .hg import hermite_functions
 
 __all__ = [
@@ -64,15 +64,6 @@ def _cost_limit(max_cost):
         return int(max_cost)
     env = os.environ.get("TFSIM_MAX_COST")
     return int(env) if env else DEFAULT_MAX_COST
-
-
-def _check_pattern(pattern, n_modes):
-    arr = np.asarray(pattern)
-    if arr.ndim != 1 or arr.size != n_modes:
-        raise ValueError(f"pattern must list one mode order per mode ({n_modes})")
-    if arr.dtype.kind not in "iu" or np.any(arr < 0):
-        raise ValueError("pattern entries must be nonnegative integers")
-    return tuple(int(v) for v in arr)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "GaussianTFState",
     "SymplecticOp",
-    "DisplacementParams",
     "PhaseSpaceGrid",
     "vacuum_state",
     "symplectic_form",
@@ -37,7 +36,10 @@ __all__ = [
     "frft",
     "scale",
     "displace",
-    "gate_symplectic",
+    "Gate",
+    "GATES",
+    "gate_block",
+    "mode_indices",
     "apply",
     "reduce_to_mode",
     "purity_defect",
@@ -126,10 +128,7 @@ class SymplecticOp:
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (matrix.shape[0],):
             raise ValueError("shift must be a vector of length 2N")
-        omega = symplectic_form(matrix.shape[0] // 2)
-        defect = np.max(np.abs(matrix.T @ omega @ matrix - omega))
-        if defect > SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
+        _check_symplectic(matrix, "matrix")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "shift", shift)
 
@@ -138,19 +137,87 @@ class SymplecticOp:
         return self.matrix.shape[0] // 2
 
 
-def _embed_block(block, modes, n_modes):
-    """Place a per-mode-pair block acting on (omega_m..., t_m...) into 2N x 2N."""
-    S = np.eye(2 * n_modes)
-    idx = list(modes) + [n_modes + m for m in modes]
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            S[ia, ib] = block[a, b]
-    return S
+def mode_indices(modes, n_modes):
+    """Rows (omega_m..., t_m...) of the given distinct modes in a 2N vector."""
+    for mode in modes:
+        if not 0 <= mode < n_modes:
+            raise ValueError(f"mode {mode} outside 0..{n_modes - 1}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes {tuple(modes)} must be distinct")
+    return list(modes) + [n_modes + m for m in modes]
 
 
-def _check_mode(mode, n_modes):
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} outside 0..{n_modes - 1}")
+def _check_symplectic(matrix, what):
+    omega = symplectic_form(matrix.shape[0] // 2)
+    defect = float(np.max(np.abs(matrix.T @ omega @ matrix - omega)))
+    if not defect <= SYMPLECTIC_TOL:
+        raise ValueError(f"{what} is not symplectic (defect {defect:.3e})")
+
+
+def _fbs_block():
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    block = np.zeros((4, 4))
+    block[:2, :2] = h
+    block[2:, 2:] = h
+    return block, None
+
+
+def _frft_block(phi):
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]]), None
+
+
+def _scale_block(s):
+    if not s > 0:
+        raise ValueError("scale factor s must be positive")
+    return np.diag([float(s), 1.0 / float(s)]), None
+
+
+def _displace_block(omega0, t0):
+    if not (np.isfinite(omega0) and np.isfinite(t0)):
+        raise ValueError("displacement values must be finite")
+    return np.eye(2), np.array([omega0, t0], dtype=float)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One gate kind: its target count, parameter names and block builder.
+
+    ``build(**params)`` returns the 2a x 2a symplectic block acting on the
+    (omega..., t...) rows of the a targets, and a length-2a mean shift or None.
+    """
+
+    arity: int
+    params: tuple
+    build: object
+
+
+#: The gate table: circuit parsing, the dense builders and run_circuit read it.
+GATES = {
+    "fbs": Gate(2, (), _fbs_block),
+    "frft": Gate(1, ("phi",), _frft_block),
+    "scale": Gate(1, ("s",), _scale_block),
+    "displace": Gate(1, ("omega0", "t0"), _displace_block),
+}
+
+
+def gate_block(name, params):
+    """Table block and shift of gate ``name``, checked symplectic at block size."""
+    block, shift = GATES[name].build(**params)
+    _check_symplectic(block, f"{name} block")
+    return block, shift
+
+
+def _dense_op(name, modes, n_modes, *values):
+    idx = mode_indices(modes, n_modes)
+    block, shift = gate_block(name, dict(zip(GATES[name].params, values)))
+    matrix = np.eye(2 * n_modes)
+    matrix[np.ix_(idx, idx)] = block
+    full_shift = np.zeros(2 * n_modes)
+    if shift is not None:
+        full_shift[idx] = shift
+    label = ",".join([str(m) for m in modes] + [f"{v:g}" for v in values])
+    return SymplecticOp(matrix, shift=full_shift, label=f"{name}({label})")
 
 
 def fbs(mode_a, mode_b, n_modes):
@@ -159,18 +226,7 @@ def fbs(mode_a, mode_b, n_modes):
     Maps (omega_a, omega_b) -> ((omega_a + omega_b)/sqrt2, (omega_a - omega_b)/sqrt2)
     and acts identically on (t_a, t_b).
     """
-    _check_mode(mode_a, n_modes)
-    _check_mode(mode_b, n_modes)
-    if mode_a == mode_b:
-        raise ValueError("fbs needs two distinct modes")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    block = np.zeros((4, 4))
-    block[:2, :2] = h
-    block[2:, 2:] = h
-    return SymplecticOp(
-        _embed_block(block, (mode_a, mode_b), n_modes),
-        label=f"fbs({mode_a},{mode_b})",
-    )
+    return _dense_op("fbs", (mode_a, mode_b), n_modes)
 
 
 def frft(mode, phi, n_modes):
@@ -179,70 +235,17 @@ def frft(mode, phi, n_modes):
     ``frft(mode, 0)`` is the identity; the mode's Hermite-Gauss index n picks
     up the phase e^{i n phi} in the spectral-mode picture.
     """
-    _check_mode(mode, n_modes)
-    c, s = np.cos(phi), np.sin(phi)
-    block = np.array([[c, -s], [s, c]])
-    return SymplecticOp(_embed_block(block, (mode,), n_modes), label=f"frft({mode},{phi:g})")
+    return _dense_op("frft", (mode,), n_modes, phi)
 
 
 def scale(mode, s, n_modes):
     """Spectral magnifier: omega -> s * omega, t -> t / s on one mode."""
-    _check_mode(mode, n_modes)
-    if s <= 0:
-        raise ValueError("scale factor must be positive")
-    block = np.diag([float(s), 1.0 / float(s)])
-    return SymplecticOp(_embed_block(block, (mode,), n_modes), label=f"scale({mode},{s:g})")
-
-
-@dataclass(frozen=True)
-class DisplacementParams:
-    """Mean shift (omega0, t0) for one mode; values must be finite."""
-
-    omega0: float
-    t0: float
-    mode: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.omega0) and np.isfinite(self.t0)):
-            raise ValueError("displacement values must be finite")
-
-    def op(self, n_modes):
-        return displace(self.mode, self.omega0, self.t0, n_modes)
+    return _dense_op("scale", (mode,), n_modes, s)
 
 
 def displace(mode, omega0, t0, n_modes):
     """Shift one mode's mean by (omega0, t0); the covariance is untouched."""
-    _check_mode(mode, n_modes)
-    if not (np.isfinite(omega0) and np.isfinite(t0)):
-        raise ValueError("displacement values must be finite")
-    shift = np.zeros(2 * n_modes)
-    shift[mode] = omega0
-    shift[n_modes + mode] = t0
-    return SymplecticOp(
-        np.eye(2 * n_modes), shift=shift, label=f"displace({mode},{omega0:g},{t0:g})"
-    )
-
-
-def gate_symplectic(kind, n_modes, **params):
-    """Build a gate by name: fbs, frft, scale, or displace.
-
-    Keyword parameters per kind: fbs(mode_a, mode_b); frft(mode, phi);
-    scale(mode, s); displace(mode, omega0, t0).
-    """
-    builders = {
-        "fbs": lambda: fbs(params.pop("mode_a"), params.pop("mode_b"), n_modes),
-        "frft": lambda: frft(params.pop("mode"), params.pop("phi"), n_modes),
-        "scale": lambda: scale(params.pop("mode"), params.pop("s"), n_modes),
-        "displace": lambda: displace(
-            params.pop("mode"), params.pop("omega0"), params.pop("t0"), n_modes
-        ),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown gate kind {kind!r}; expected one of {sorted(builders)}")
-    op = builders[kind]()
-    if params:
-        raise TypeError(f"unexpected parameters for {kind}: {sorted(params)}")
-    return op
+    return _dense_op("displace", (mode,), n_modes, omega0, t0)
 
 
 def apply(state, op):
@@ -255,8 +258,7 @@ def apply(state, op):
 
 def reduce_to_mode(state, mode):
     """Trace out all modes but one, returning the single-mode Gaussian state."""
-    _check_mode(mode, state.n_modes)
-    idx = [mode, state.n_modes + mode]
+    idx = mode_indices((mode,), state.n_modes)
     return GaussianTFState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
@@ -353,9 +355,7 @@ def husimi_eval(state, point, mode=None):
     return float(np.exp(-0.5 * quad) / (np.pi ** n * np.sqrt(np.linalg.det(sigma_q))))
 
 
-def wigner_csv_text(state, grid, mode=0):
-    """Wigner field as CSV text: ``omega,t,value`` rows, omega-major."""
-    field = wigner_eval(state, grid, mode=mode)
+def _field_csv_text(grid, field):
     lines = ["omega,t,value"]
     for i, w in enumerate(grid.omega_axis):
         for j, t in enumerate(grid.t_axis):
@@ -363,8 +363,14 @@ def wigner_csv_text(state, grid, mode=0):
     return "\n".join(lines) + "\n"
 
 
+def wigner_csv_text(state, grid, mode=0):
+    """Wigner field as CSV text: ``omega,t,value`` rows, omega-major."""
+    return _field_csv_text(grid, wigner_eval(state, grid, mode=mode))
+
+
 def wigner_to_csv(state, grid, path, mode=0):
-    """Write the Wigner field as ``omega,t,value`` rows, omega-major."""
+    """Write the Wigner field as ``omega,t,value`` rows, omega-major; return it."""
+    field = wigner_eval(state, grid, mode=mode)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(wigner_csv_text(state, grid, mode=mode))
-    return wigner_eval(state, grid, mode=mode)
+        fh.write(_field_csv_text(grid, field))
+    return field

@@ -143,6 +143,16 @@ def hafnian(B):
     return match((1 << n) - 1)
 
 
+def _check_pattern(pattern, n_modes):
+    """A detection pattern as a tuple: one non-negative integer per mode."""
+    arr = np.asarray(pattern)
+    if arr.shape != (n_modes,):
+        raise ValueError(f"pattern must list one mode order per mode ({n_modes})")
+    if arr.dtype.kind not in "iu" or np.any(arr < 0):
+        raise ValueError("pattern entries must be non-negative integers")
+    return tuple(int(v) for v in arr)
+
+
 def reduce(A, pattern):
     """Repeat rows/columns of a 2N x 2N matrix according to a detection pattern.
 
@@ -154,11 +164,7 @@ def reduce(A, pattern):
     if A.shape[0] % 2:
         raise ValueError("A must have even dimension 2N")
     N = A.shape[0] // 2
-    pattern = np.asarray(pattern)
-    if pattern.shape != (N,):
-        raise ValueError(f"pattern must have length {N}")
-    if pattern.dtype.kind not in "iu" or np.any(pattern < 0):
-        raise ValueError("pattern entries must be non-negative integers")
+    pattern = _check_pattern(pattern, N)
     repeats = np.repeat(np.arange(N), pattern)
     idx = np.concatenate([repeats, N + repeats])
     return A[np.ix_(idx, idx)]
@@ -199,11 +205,7 @@ def reduced_hafnian(A, pattern):
     if A.shape[0] % 2:
         raise ValueError("A must have even dimension 2N")
     N = A.shape[0] // 2
-    pattern = np.asarray(pattern)
-    if pattern.shape != (N,):
-        raise ValueError(f"pattern must have length {N}")
-    if pattern.dtype.kind not in "iu" or np.any(pattern < 0):
-        raise ValueError("pattern entries must be non-negative integers")
+    pattern = _check_pattern(pattern, N)
     exponents = np.concatenate([pattern, pattern])
     return _gaussian_moment(A, exponents)
 

@@ -160,8 +160,31 @@ def _overlap_matrix(f, cutoff, sigma, rule):
     return np.sqrt(sigma) * ((polys * half_weights) @ fx)
 
 
-def _doubled(rule):
-    return gauss_hermite(2 * rule.order)
+def _refined_overlaps(f, nmax, sigma, rule, checked, what):
+    """Coefficients <0..nmax|f> from the doubled-order rule.
+
+    ``rule`` defaults to order 2 nmax + MIN_ORDER_MARGIN and may not be
+    coarser. Warns with AccuracyWarning when doubling the order moves the
+    coefficients selected by ``checked`` by more than CONVERGENCE_TOL.
+    """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    minimum = 2 * nmax + MIN_ORDER_MARGIN
+    if rule is None:
+        rule = gauss_hermite(minimum)
+    if rule.order < minimum:
+        raise ValueError(f"rule order {rule.order} below contract minimum {minimum}")
+    coarse = _overlap_matrix(f, nmax, sigma, rule)
+    fine = _overlap_matrix(f, nmax, sigma, gauss_hermite(2 * rule.order))
+    shift = float(np.max(np.abs(fine[checked] - coarse[checked])))
+    if shift > CONVERGENCE_TOL:
+        warnings.warn(
+            f"{what} moved by up to {shift:.3e} when the quadrature order was doubled; "
+            "raise the rule order",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    return fine
 
 
 def hg_overlap(f, n, sigma, rule=None):
@@ -190,24 +213,7 @@ def hg_overlap(f, n, sigma, rule=None):
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if rule is None:
-        rule = gauss_hermite(2 * n + MIN_ORDER_MARGIN)
-    if rule.order < 2 * n + MIN_ORDER_MARGIN:
-        raise ValueError(
-            f"rule order {rule.order} below contract minimum {2 * n + MIN_ORDER_MARGIN}"
-        )
-    coarse = _overlap_matrix(f, n, sigma, rule)[n]
-    fine = _overlap_matrix(f, n, sigma, _doubled(rule))[n]
-    if abs(fine - coarse) > CONVERGENCE_TOL:
-        warnings.warn(
-            f"overlap <{n}|f> moved by {abs(fine - coarse):.3e} when the quadrature "
-            "order was doubled; result may be unresolved",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return complex(fine)
+    return complex(_refined_overlaps(f, n, sigma, rule, n, f"overlap <{n}|f>")[n])
 
 
 @dataclass(frozen=True)
@@ -276,25 +282,8 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if rule is None:
-        rule = gauss_hermite(2 * cutoff + MIN_ORDER_MARGIN)
-    if rule.order < 2 * cutoff + MIN_ORDER_MARGIN:
-        raise ValueError(
-            f"rule order {rule.order} below contract minimum {2 * cutoff + MIN_ORDER_MARGIN}"
-        )
-    coarse = _overlap_matrix(f, cutoff, sigma, rule)
-    fine = _overlap_matrix(f, cutoff, sigma, _doubled(rule))
-    shift = np.max(np.abs(fine - coarse))
-    if shift > CONVERGENCE_TOL:
-        warnings.warn(
-            f"decomposition coefficients moved by up to {shift:.3e} when the quadrature "
-            "order was doubled; raise the rule order",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return SpectralState(coeffs=fine, sigma=sigma)
+    coeffs = _refined_overlaps(f, cutoff, sigma, rule, slice(None), "decomposition coefficients")
+    return SpectralState(coeffs=coeffs, sigma=sigma)
 
 
 def mode_probability(state, n):

@@ -200,6 +200,40 @@ def test_gate_ops_and_run_circuit():
     assert np.max(np.abs(state.cov - manual.cov)) < 1e-14
     assert np.max(np.abs(state.mean - manual.mean)) < 1e-14
 
+    # A seeded wide circuit with every gate kind and non-unit input widths:
+    # the row/column updates of run_circuit match the dense apply chain.
+    rng = np.random.default_rng(11)
+    n = 24
+    widths = [float(w) for w in rng.uniform(0.7, 1.4, size=n)]
+    widths[0] = 1.0
+    kinds = ["fbs", "frft", "scale", "displace"] * 25
+    rng.shuffle(kinds)
+    ops = []
+    for kind in kinds:
+        if kind == "fbs":
+            targets = [int(m) for m in rng.choice(n, size=2, replace=False)]
+            ops.append({"gate": "fbs", "targets": targets})
+            continue
+        params = {
+            "frft": lambda: {"phi": float(rng.uniform(0, 2 * np.pi))},
+            "scale": lambda: {"s": float(rng.uniform(0.6, 1.6))},
+            "displace": lambda: {"omega0": float(rng.normal()), "t0": float(rng.normal())},
+        }[kind]()
+        ops.append({"gate": kind, "targets": [int(rng.integers(n))], "params": params})
+    spec = parse({"modes": n, "inputs": [{"type": "gaussian", "width": w} for w in widths],
+                  "ops": ops})
+    steps = ct.gate_ops(spec)
+    assert len(steps) == (n - 1) + len(ops)
+    assert steps[n - 1:] == spec.ops
+    manual = g.vacuum_state(n)
+    for step in steps:
+        builder = getattr(g, step.gate)
+        manual = g.apply(manual, builder(*step.targets, *step.params.values(), n))
+    state = ct.run_circuit(spec)
+    assert np.max(np.abs(state.cov - manual.cov)) <= 1e-13
+    assert np.max(np.abs(state.mean - manual.mean)) <= 1e-13
+    assert np.max(np.abs(manual.mean)) > 0.1 and np.max(np.abs(manual.cov)) > 1.0
+
 
 def test_run_circuit_with_displacement():
     doc = {

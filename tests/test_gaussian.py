@@ -139,35 +139,35 @@ def test_displace_only_shifts_mean():
     assert out.mean[0] == out.mean[2] == 0.0
     with pytest.raises(ValueError):
         g.displace(0, np.inf, 0.0, 2)
-
-
-def test_displacement_params():
-    p = g.DisplacementParams(omega0=0.5, t0=-0.2, mode=1)
-    op = p.op(2)
-    assert op.shift[1] == pytest.approx(0.5)
-    assert op.shift[3] == pytest.approx(-0.2)
     with pytest.raises(ValueError):
-        g.DisplacementParams(omega0=np.nan, t0=0.0)
+        g.displace(0, np.nan, 0.0, 2)
 
 
 def test_gate_symplectic_dispatch():
-    direct = g.fbs(0, 1, 2)
-    named = g.gate_symplectic("fbs", 2, mode_a=0, mode_b=1)
-    assert np.array_equal(direct.matrix, named.matrix)
+    # Every table entry: the public builder of the same name embeds exactly the
+    # table block (and shift) on the target rows and is the identity elsewhere.
+    rng = np.random.default_rng(5)
+    n = 4
+    for name, gate in g.GATES.items():
+        modes = tuple(int(m) for m in rng.choice(n, size=gate.arity, replace=False))
+        params = {p: float(rng.uniform(0.3, 1.7)) for p in gate.params}
+        op = getattr(g, name)(*modes, *params.values(), n)
+        idx = g.mode_indices(modes, n)
+        rest = [i for i in range(2 * n) if i not in idx]
+        block, shift = g.gate_block(name, params)
+        assert block.shape == (2 * gate.arity, 2 * gate.arity)
+        assert np.array_equal(op.matrix[np.ix_(idx, idx)], block)
+        assert np.array_equal(op.matrix[np.ix_(rest, rest)], np.eye(len(rest)))
+        assert not op.matrix[np.ix_(idx, rest)].any() and not op.matrix[np.ix_(rest, idx)].any()
+        expected_shift = np.zeros(2 * gate.arity) if shift is None else shift
+        assert np.array_equal(op.shift[idx], expected_shift)
+        assert not op.shift[rest].any()
+        assert op.label.startswith(f"{name}(")
 
-    named = g.gate_symplectic("frft", 1, mode=0, phi=0.3)
-    assert np.array_equal(named.matrix, g.frft(0, 0.3, 1).matrix)
-
-    named = g.gate_symplectic("scale", 1, mode=0, s=1.2)
-    assert np.array_equal(named.matrix, g.scale(0, 1.2, 1).matrix)
-
-    named = g.gate_symplectic("displace", 1, mode=0, omega0=1.0, t0=2.0)
-    assert np.array_equal(named.shift, np.array([1.0, 2.0]))
-
-    with pytest.raises(ValueError):
-        g.gate_symplectic("squeeze", 1, mode=0)
+    with pytest.raises(KeyError):
+        g.gate_block("squeeze", {})
     with pytest.raises(TypeError):
-        g.gate_symplectic("frft", 1, mode=0, phi=0.3, extra=1)
+        g.gate_block("frft", {"phi": 0.3, "extra": 1})
 
 
 def test_symplectic_op_rejects_non_symplectic():
