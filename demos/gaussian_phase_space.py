@@ -28,7 +28,8 @@ def main():
     print(f"Husimi at the mean point: {g.husimi_eval(state, (1.0 - 0.5j) / np.sqrt(2)):.6f}")
 
     grid = g.PhaseSpaceGrid(-5, 7, 161, -6, 6, 161)
-    field = g.wigner_to_csv(state, grid, "wigner_demo.csv")
+    field = g.wigner_eval(state, grid)
+    g.wigner_csv_text(state, grid, path="wigner_demo.csv")
     total = np.trapezoid(np.trapezoid(field, grid.t_axis, axis=1), grid.omega_axis)
     print(f"wrote wigner_demo.csv; grid integral = {total:.8f} (exact: 1)")
     print(f"peak value {field.max():.6f} (pure-state ceiling 1/pi = {1 / np.pi:.6f})")

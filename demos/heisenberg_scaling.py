@@ -29,7 +29,7 @@ def main():
         )
 
     rows = mt.precision_sweep(n_values, "fisher")
-    mt.sweep_to_csv(rows, "precision_sweep.csv")
+    mt.sweep_csv_text(rows, path="precision_sweep.csv")
     print("wrote precision_sweep.csv")
 
     slope = mt.heisenberg_slope(n_values)

@@ -32,6 +32,7 @@ import json
 import sys
 
 from . import fgbs, metrology, twophoton
+from ._text import emit
 from .circuit import parse_circuit, run_circuit
 from .exceptions import (
     CostGuardError,
@@ -238,10 +239,11 @@ def main(argv=None):
         return _emit_error("insufficient-mass", str(exc), EXIT_INSUFFICIENT_MASS)
     except (TfsimError, ValueError, ArithmeticError) as exc:
         return _emit_error("error", str(exc), EXIT_ERROR)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    try:
+        emit(text, args.out)
+    except OSError as exc:
+        return _emit_error("error", str(exc), EXIT_ERROR)
+    if args.out is None:
         sys.stdout.write(text)
     return EXIT_OK
 

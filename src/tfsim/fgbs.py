@@ -26,7 +26,6 @@ TFSIM_MAX_COST environment variable.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
+from ._text import emit, table_text
 from .exceptions import CostGuardError, InsufficientMassError
 from .gaussian import purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, reduced_hafnian
@@ -201,6 +201,8 @@ def _enumeration_cost(cutoff, n_modes):
 
 
 def _enumerate_probabilities(dist, cutoff, max_cost):
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     limit = _cost_limit(max_cost)
     cost = _enumeration_cost(cutoff, dist.n_modes)
     if cost > limit:
@@ -242,26 +244,13 @@ def sample(dist, shots, rng_seed, cutoff, max_cost=None):
 
 
 def samples_to_jsonl(samples, path=None):
-    """Serialize samples as JSON lines {"shot": i, "pattern": [...]}."""
-    lines = [
-        json.dumps({"shot": i, "pattern": list(map(int, p))}, sort_keys=True)
-        for i, p in enumerate(samples)
-    ]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    """Serialize samples as JSON lines {"pattern": [...], "shot": i}; also written to ``path``."""
+    rows = ((", ".join(map(str, map(int, p))), i) for i, p in enumerate(samples))
+    return emit(table_text("", '{"pattern": [%s], "shot": %d}\n', rows), path)
 
 
 def probability_table_csv(dist, cutoff, path=None, max_cost=None):
     """Tabulate pattern probabilities as CSV (pattern entries ';'-joined)."""
     patterns, probs = _enumerate_probabilities(dist, cutoff, max_cost)
-    lines = ["pattern,probability"]
-    for pat, p in zip(patterns, probs):
-        lines.append(f"{';'.join(map(str, pat))},{p:.17g}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    rows = zip((";".join(map(str, pat)) for pat in patterns), probs.tolist())
+    return emit(table_text("pattern,probability\n", "%s,%.17g\n", rows), path)

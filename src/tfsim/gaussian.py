@@ -23,8 +23,11 @@ the vacuum peaks at 1/pi in both and integrates to one (d^2alpha = domega dt/2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
+
+from ._text import emit, table_text
 
 __all__ = [
     "GaussianTFState",
@@ -47,7 +50,6 @@ __all__ = [
     "wigner_eval",
     "husimi_eval",
     "wigner_csv_text",
-    "wigner_to_csv",
 ]
 
 SYMPLECTIC_TOL = 1e-12
@@ -355,22 +357,12 @@ def husimi_eval(state, point, mode=None):
     return float(np.exp(-0.5 * quad) / (np.pi ** n * np.sqrt(np.linalg.det(sigma_q))))
 
 
-def _field_csv_text(grid, field):
-    lines = ["omega,t,value"]
-    for i, w in enumerate(grid.omega_axis):
-        for j, t in enumerate(grid.t_axis):
-            lines.append(f"{w:.17g},{t:.17g},{field[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def wigner_csv_text(state, grid, mode=0):
-    """Wigner field as CSV text: ``omega,t,value`` rows, omega-major."""
-    return _field_csv_text(grid, wigner_eval(state, grid, mode=mode))
-
-
-def wigner_to_csv(state, grid, path, mode=0):
-    """Write the Wigner field as ``omega,t,value`` rows, omega-major; return it."""
+def wigner_csv_text(state, grid, mode=0, path=None):
+    """Wigner field as CSV ``omega,t,value`` rows, omega-major; also written to ``path``."""
     field = wigner_eval(state, grid, mode=mode)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_field_csv_text(grid, field))
-    return field
+    t_axis = ["%.17g" % t for t in grid.t_axis.tolist()]
+    rows = chain.from_iterable(
+        zip(repeat("%.17g" % w, len(t_axis)), t_axis, values.tolist())
+        for w, values in zip(grid.omega_axis.tolist(), field)
+    )
+    return emit(table_text("omega,t,value\n", "%s,%s,%.17g\n", rows), path)

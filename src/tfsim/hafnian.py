@@ -27,7 +27,6 @@ property-tested against ``hafnian(reduce(A, pattern))``.
 
 from __future__ import annotations
 
-import time
 from itertools import permutations
 from math import comb, factorial
 
@@ -38,8 +37,6 @@ __all__ = [
     "hafnian_perm_sum",
     "reduce",
     "reduced_hafnian",
-    "benchmark",
-    "benchmark_csv",
 ]
 
 #: Largest matrix dimension hafnian() accepts.
@@ -208,33 +205,3 @@ def reduced_hafnian(A, pattern):
     pattern = _check_pattern(pattern, N)
     exponents = np.concatenate([pattern, pattern])
     return _gaussian_moment(A, exponents)
-
-
-def benchmark(sizes, seed=0, repeats=1):
-    """Time :func:`hafnian` on random symmetric matrices.
-
-    Returns a list of ``(n, seconds)`` pairs, one per requested dimension,
-    with the best of ``repeats`` runs reported.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n in sizes:
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        B = (M + M.T) / 2.0
-        best = np.inf
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            hafnian(B)
-            best = min(best, time.perf_counter() - start)
-        rows.append((int(n), best))
-    return rows
-
-
-def benchmark_csv(path, sizes, seed=0, repeats=1):
-    """Write :func:`benchmark` results to ``path`` as ``n,wall_time_s`` CSV."""
-    rows = benchmark(sizes, seed=seed, repeats=repeats)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,wall_time_s\n")
-        for n, seconds in rows:
-            fh.write(f"{n},{seconds:.17g}\n")
-    return rows

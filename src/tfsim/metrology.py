@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import emit, table_text
 from .twophoton import sector_matrix
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "quantum_fisher_information",
     "best_precision",
     "precision_sweep",
-    "sweep_to_csv",
     "sweep_csv_text",
     "heisenberg_slope",
 ]
@@ -313,17 +313,10 @@ def precision_sweep(n_values, estimator, phi=None):
     return rows
 
 
-def sweep_to_csv(rows, path):
-    """Write sweep rows as ``n_photons,phi,estimator,delta_phi``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sweep_csv_text(rows))
-
-
-def sweep_csv_text(rows):
-    lines = ["n_photons,phi,estimator,delta_phi"]
-    for n_total, phi, estimator, value in rows:
-        lines.append(f"{n_total},{phi:.17g},{estimator},{float(value):.17g}")
-    return "\n".join(lines) + "\n"
+def sweep_csv_text(rows, path=None):
+    """Sweep rows as CSV ``n_photons,phi,estimator,delta_phi``; also written to ``path``."""
+    text = table_text("n_photons,phi,estimator,delta_phi\n", "%s,%.17g,%s,%.17g\n", rows)
+    return emit(text, path)
 
 
 def heisenberg_slope(n_values=tuple(range(2, 21, 2)), estimator="fisher"):

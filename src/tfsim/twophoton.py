@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._text import emit, table_text
 from .hg import SpectralState, hermite_functions
 
 __all__ = [
@@ -232,11 +233,11 @@ def hom_output(n=1, sigma=1.0):
     return apply_fbs(product_jsa(photon, photon))
 
 
-def jsa_to_csv(jsa, path):
-    """Write coefficients as ``n,m,re,im`` rows, n-major."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,m,re,im\n")
-        for n in range(jsa.cutoff + 1):
-            for m in range(jsa.cutoff + 1):
-                c = jsa.coeffs[n, m]
-                fh.write(f"{n},{m},{c.real:.17g},{c.imag:.17g}\n")
+def jsa_to_csv(jsa, path=None):
+    """Coefficients as CSV ``n,m,re,im`` rows, n-major; also written to ``path``."""
+    rows = (
+        (n, m, c.real, c.imag)
+        for n, row in enumerate(jsa.coeffs.tolist())
+        for m, c in enumerate(row)
+    )
+    return emit(table_text("n,m,re,im\n", "%d,%d,%.17g,%.17g\n", rows), path)

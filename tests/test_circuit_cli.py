@@ -271,6 +271,17 @@ def test_cli_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == stdout_text
 
 
+def test_cli_unwritable_out_is_a_json_error(tmp_path, capsys):
+    for target in (tmp_path / "missing_dir" / "x.json", tmp_path):
+        assert cli.main(["hom", "--n", "1", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "error"
+        assert err["error"]["exit_code"] == 1
+    assert not (tmp_path / "missing_dir").exists()
+
+
 def test_cli_metrology_sweep(capsys):
     assert cli.main(["metrology", "--photons", "2..6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -397,6 +408,17 @@ def test_cli_fgbs_sample_insufficient_mass(tmp_path, capsys):
     assert code == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "insufficient-mass"
+
+
+def test_cli_fgbs_sample_negative_cutoff(tmp_path, capsys):
+    path = write_circuit(tmp_path, VACUUM_1)
+    code = cli.main(["fgbs", "sample", "--circuit", path, "--cutoff", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "error"
+    assert "cutoff must be >= 0" in err["error"]["message"]
 
 
 def test_cli_wigner(tmp_path, capsys):

@@ -225,6 +225,17 @@ def test_sample_rejects_negative_shots():
         fgbs.sample(dist, shots=-1, rng_seed=0, cutoff=2)
 
 
+def test_enumeration_rejects_negative_cutoff():
+    dist = fgbs.build_distribution(g.vacuum_state(1))
+    for call in (
+        lambda: fgbs.sample(dist, shots=1, rng_seed=0, cutoff=-1),
+        lambda: fgbs.total_probability(dist, cutoff=-1),
+        lambda: fgbs.probability_table_csv(dist, cutoff=-2),
+    ):
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            call()
+
+
 def test_samples_to_jsonl(tmp_path):
     text = fgbs.samples_to_jsonl([(0, 2), (1, 1)])
     lines = text.splitlines()

@@ -325,7 +325,8 @@ def test_wigner_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 5 * 7
 
     path = tmp_path / "wigner.csv"
-    field = g.wigner_to_csv(state, grid, path)
+    field = g.wigner_eval(state, grid)
+    assert g.wigner_csv_text(state, grid, path=path) == text
     assert path.read_text() == text
     w_vals, t_vals, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
     assert np.max(np.abs(values.reshape(5, 7) - field)) == 0.0

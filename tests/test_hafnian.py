@@ -162,17 +162,3 @@ def test_reduced_hafnian_matches_reduce_then_hafnian():
 def test_reduced_hafnian_empty_pattern():
     A = random_symmetric(np.random.default_rng(0), 4)
     assert hf.reduced_hafnian(A, np.array([0, 0])) == 1.0
-
-
-def test_benchmark_and_csv(tmp_path):
-    path = tmp_path / "bench.csv"
-    rows = hf.benchmark_csv(path, sizes=(2, 4, 6), seed=0)
-    assert [n for n, _ in rows] == [2, 4, 6]
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,wall_time_s"
-    assert len(lines) == 4
-    for line, (n, seconds) in zip(lines[1:], rows):
-        n_str, t_str = line.split(",")
-        assert int(n_str) == n
-        assert float(t_str) == pytest.approx(seconds, rel=1e-12)
-        assert float(t_str) >= 0.0

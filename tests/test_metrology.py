@@ -241,7 +241,7 @@ def test_precision_sweep_and_csv(tmp_path):
     assert float(dphi) == pytest.approx(0.5, rel=1e-9)
 
     path = tmp_path / "sweep.csv"
-    mt.sweep_to_csv(rows, path)
+    assert mt.sweep_csv_text(rows, path=path) == text
     assert path.read_text() == text
 
 
