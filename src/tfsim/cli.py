@@ -21,8 +21,8 @@ Outputs are byte-deterministic for identical inputs and seed: JSON is
 emitted with sorted keys and CSV numbers with 17 significant digits. Errors
 are reported as a JSON object on stderr and a distinct exit code:
 2 file-not-found, 3 schema violation, 4 cost guard, 5 insufficient sampling
-mass, 1 anything else. The TFSIM_MAX_COST environment variable relaxes or
-tightens the cost guards.
+mass, 1 anything else (including a --circuit path that cannot be read). The
+TFSIM_MAX_COST environment variable relaxes or tightens the cost guards.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def main(argv=None):
         return _emit_error("cost-guard", str(exc), EXIT_COST_GUARD)
     except InsufficientMassError as exc:
         return _emit_error("insufficient-mass", str(exc), EXIT_INSUFFICIENT_MASS)
-    except (TfsimError, ValueError, ArithmeticError) as exc:
+    except (TfsimError, ValueError, ArithmeticError, OSError) as exc:
         return _emit_error("error", str(exc), EXIT_ERROR)
     try:
         emit(text, args.out)

@@ -23,13 +23,12 @@ distribution, computed with analytic phi-derivatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._text import emit, table_text
-from .twophoton import sector_matrix
+from .twophoton import _check_sector_cost, sector_matrix
 
 __all__ = [
     "JOperators",
@@ -76,9 +75,7 @@ def j_operators(n_total):
         raise ValueError("total index must be >= 0")
     n = np.arange(n_total + 1)
     jz = np.diag(n - n_total / 2.0).astype(complex)
-    jp = np.zeros((n_total + 1, n_total + 1), dtype=complex)
-    for k in range(n_total):
-        jp[k + 1, k] = math.sqrt((k + 1.0) * (n_total - k))
+    jp = np.diag(np.sqrt((n[:-1] + 1.0) * (n_total - n[:-1])), -1).astype(complex)
     jx = (jp + jp.conj().T) / 2.0
     jy = (jp - jp.conj().T) / 2.0j
     return JOperators(jx=jx, jy=jy, jz=jz, n_total=n_total)
@@ -134,6 +131,7 @@ def twin_state(n_total):
     """Both photons in mode N/2: amplitude 1 on (N/2, N/2)."""
     if n_total < 2 or n_total % 2:
         raise ValueError("total index must be an even integer >= 2")
+    _check_sector_cost(n_total)
     chi = np.zeros(n_total + 1, dtype=complex)
     chi[n_total // 2] = 1.0
     return from_sector_vector(chi, n_total)
@@ -190,18 +188,18 @@ def _expect(op, chi):
     return float(np.real(chi.conj() @ (op @ chi)))
 
 
-def _amplitude_and_derivative(n_total, phi, chi_in):
-    """Output amplitudes and their analytic phi-derivatives."""
-    b = sector_matrix(n_total).astype(complex)
-    n = np.arange(n_total + 1)
-    inner = b @ chi_in
-    phased = np.exp(1j * phi * n) * inner
+def _signal(state, phis):
+    """Output probabilities and their analytic phi-derivatives, one column per
+    phi, from the amplitudes B (e^{i phi n} o B chi) and B (i n e^{i phi n} o B chi)."""
+    b = sector_matrix(state.n_total)
+    n = np.arange(state.n_total + 1)
+    phased = np.exp(1j * np.outer(n, phis)) * (b @ sector_vector(state))[:, None]
     amp = b @ phased
-    damp = b @ (1j * n * phased)
-    return amp, damp
+    damp = b @ (1j * n[:, None] * phased)
+    return np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp)
 
 
-def _rotated_jz_estimate(state, phi):
+def _rotated_jz_estimate(state, phis):
     """Literal first-moment error propagation with the rotated-moment
     expressions <Jz>(phi) = cos(phi) <Jz>_in - sin(phi) <Jx>_in."""
     ops = j_operators(state.n_total)
@@ -213,31 +211,52 @@ def _rotated_jz_estimate(state, phi):
     cov_xz = (
         _expect(ops.jx @ ops.jz + ops.jz @ ops.jx, chi) / 2.0 - mean_x * mean_z
     )
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = np.cos(phis), np.sin(phis)
     derivative = -s * mean_z - c * mean_x
     variance = c * c * var_z + s * s * var_x - 2.0 * s * c * cov_xz
-    return max(variance, 0.0), derivative
+    return np.maximum(variance, 0.0), derivative
 
 
-def _jz_squared_estimate(state, phi):
+def _jz_squared_estimate(state, phis):
     """Error propagation on the second moment <Jz^2>(phi)."""
-    amp, damp = _amplitude_and_derivative(state.n_total, phi, sector_vector(state))
-    p = np.abs(amp) ** 2
-    dp = 2.0 * np.real(np.conj(amp) * damp)
-    m = np.arange(state.n_total + 1) - state.n_total / 2.0
-    m2 = m**2
-    mean = float(m2 @ p)
-    variance = float(m2**2 @ p) - mean**2
-    derivative = float(m2 @ dp)
-    return max(variance, 0.0), derivative
+    p, dp = _signal(state, phis)
+    m2 = (np.arange(state.n_total + 1) - state.n_total / 2.0) ** 2
+    mean = m2 @ p
+    variance = m2**2 @ p - mean**2
+    return np.maximum(variance, 0.0), m2 @ dp
 
 
 def _fisher_information(state, phi):
-    amp, damp = _amplitude_and_derivative(state.n_total, phi, sector_vector(state))
-    p = np.abs(amp) ** 2
-    dp = 2.0 * np.real(np.conj(amp) * damp)
-    keep = p > PROB_FLOOR
-    return float(np.sum(dp[keep] ** 2 / p[keep]))
+    """Classical Fisher information at phi (a scalar or an array of phases)."""
+    p, dp = _signal(state, np.ravel(phi))
+    ratio = np.divide(dp**2, p, out=np.zeros_like(p), where=p > PROB_FLOOR)
+    return ratio.sum(axis=0).reshape(np.shape(phi))
+
+
+def _estimates(n_total, phis, estimator, state):
+    """delta-phi, signal derivative and degeneracy flag at every phi, as arrays.
+
+    Degenerate points (vanishing signal) get inf; for 'fisher' the derivative
+    slot carries the Fisher information, or 0 when it vanishes.
+    """
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if state is None:
+        state = twin_state(n_total)
+    elif state.n_total != n_total:
+        raise ValueError("state total index does not match n_total")
+    if estimator == "fisher":
+        info = _fisher_information(state, phis)
+        degenerate = info < DEGENERACY_TOL**2
+        with np.errstate(divide="ignore"):
+            value = np.where(degenerate, np.inf, info**-0.5)
+        return value, np.where(degenerate, 0.0, info), degenerate
+    estimate = _rotated_jz_estimate if estimator == "jz" else _jz_squared_estimate
+    variance, derivative = estimate(state, phis)
+    degenerate = np.abs(derivative) < DEGENERACY_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(degenerate, np.inf, np.sqrt(variance) / np.abs(derivative))
+    return value, derivative, degenerate
 
 
 def phase_precision(n_total, phi, estimator, state=None):
@@ -250,28 +269,10 @@ def phase_precision(n_total, phi, estimator, state=None):
     state |N/2, N/2>. Degenerate estimators (vanishing signal derivative)
     return inf with the ``degenerate`` flag set.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if state is None:
-        state = twin_state(n_total)
-    elif state.n_total != n_total:
-        raise ValueError("state total index does not match n_total")
     if not 0.0 < phi < np.pi:
         raise ValueError("phi must lie in the open interval (0, pi)")
-    if estimator == "fisher":
-        info = _fisher_information(state, phi)
-        if info < DEGENERACY_TOL**2:
-            return PrecisionEstimate(np.inf, 0.0, True, estimator, phi)
-        return PrecisionEstimate(info**-0.5, info, False, estimator, phi)
-    if estimator == "jz":
-        variance, derivative = _rotated_jz_estimate(state, phi)
-    else:
-        variance, derivative = _jz_squared_estimate(state, phi)
-    if abs(derivative) < DEGENERACY_TOL:
-        return PrecisionEstimate(np.inf, derivative, True, estimator, phi)
-    return PrecisionEstimate(
-        math.sqrt(variance) / abs(derivative), derivative, False, estimator, phi
-    )
+    value, derivative, degenerate = _estimates(n_total, [phi], estimator, state)
+    return PrecisionEstimate(value[0], derivative[0], degenerate[0], estimator, phi)
 
 
 def quantum_fisher_information(n_total, state=None):
@@ -291,18 +292,21 @@ def quantum_fisher_information(n_total, state=None):
 
 
 def best_precision(n_total, estimator, state=None, grid_points=181):
-    """Minimize delta-phi over an interior phi grid; returns (phi, estimate)."""
+    """Minimize delta-phi over an interior phi grid; returns (phi, estimate).
+
+    The whole grid is evaluated as one batch; ties go to the smallest phi.
+    """
     phis = np.linspace(0.0, np.pi, grid_points + 2)[1:-1]
-    best = None
-    for phi in phis:
-        est = phase_precision(n_total, phi, estimator, state=state)
-        if best is None or est < best[1]:
-            best = (float(phi), est)
-    return best
+    value, derivative, degenerate = _estimates(n_total, phis, estimator, state)
+    i = int(np.argmin(value))
+    est = PrecisionEstimate(value[i], derivative[i], degenerate[i], estimator, phis[i])
+    return float(phis[i]), est
 
 
 def precision_sweep(n_values, estimator, phi=None):
     """Rows (N, phi, estimator, delta_phi); phi=None optimizes per N."""
+    n_values = list(n_values)
+    _check_sector_cost(max(n_values, default=0))
     rows = []
     for n_total in n_values:
         if phi is None:

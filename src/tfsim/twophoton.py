@@ -18,14 +18,14 @@ accuracy, which the test-suite checks on random inputs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._text import emit, table_text
+from .exceptions import CostGuardError
+from .fgbs import _cost_limit
 from .hg import SpectralState, hermite_functions
 
 __all__ = [
@@ -49,32 +49,33 @@ class TruncationWarning(UserWarning):
     """A forced output cutoff discarded more than TRUNCATION_TOL of the norm."""
 
 
-@lru_cache(maxsize=None)
+def _check_sector_cost(k):
+    """Refuse a total-index-k sector whose (k+1)^2 cost units exceed the guard."""
+    limit = _cost_limit(None)
+    if (k + 1) ** 2 > limit:
+        raise CostGuardError(f"sector k={k} costs {(k + 1) ** 2} > limit {limit}")
+
+
 def sector_matrix(k):
     """Unitary action of the FBS on the total-index-k sector.
 
-    Returns the (k+1) x (k+1) real orthogonal matrix U with
-    C_out[r, k-r] = sum_n U[r, n] C_in[n, k-n], derived from expanding
-    (a - b)^n (a + b)^m / sqrt(2^k) in the ladder picture.
+    Returns a new read-only (k+1) x (k+1) real orthogonal matrix U with
+    C_out[r, k-r] = sum_n U[r, n] C_in[n, k-n]: the spin-k/2 rotation
+    R exp(i pi/2 J_x) R^dagger, R = diag(e^{-i pi n/2}), from the eigenvectors
+    of the tridiagonal J_x = V diag(m) V^T (m = -k/2..k/2 exactly; the product
+    V diag(e^{i pi m/2}) V^T does not depend on the eigenvectors' signs).
     """
-    u = np.zeros((k + 1, k + 1))
-    for n in range(k + 1):
-        m = k - n
-        for r in range(k + 1):
-            acc = 0
-            for q in range(max(0, r - n), min(m, r) + 1):
-                acc += math.comb(n, r - q) * math.comb(m, q) * (-1) ** (n - r + q)
-            if acc:
-                amp = math.exp(
-                    0.5
-                    * (
-                        math.lgamma(r + 1)
-                        + math.lgamma(k - r + 1)
-                        - math.lgamma(n + 1)
-                        - math.lgamma(m + 1)
-                    )
-                )
-                u[r, n] = amp * acc * 2.0 ** (-0.5 * k)
+    _check_sector_cost(k)
+    n = np.arange(k + 1)
+    off = np.sqrt((n[:-1] + 1.0) * (k - n[:-1])) / 2.0
+    _, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rotation = (v * np.exp(0.5j * np.pi * (n - k / 2.0))) @ v.T
+    r = np.array([1.0, -1.0j, -1.0, 1.0j])[n % 4]
+    u = (r[:, None] * rotation * r.conj()).real
+    # Average in the two exchange symmetries, U[r, n] = (-1)^(k-r) U[r, k-n] =
+    # (-1)^n U[k-r, n], so that the amplitudes they forbid are exactly zero.
+    u = 0.5 * (u + (-1.0) ** (k - n)[:, None] * u[:, ::-1])
+    u = 0.5 * (u + (-1.0) ** n * u[::-1])
     u.setflags(write=False)
     return u
 
@@ -164,19 +165,13 @@ def apply_fbs(jsa, cutoff=None):
     target = _resolve_cutoff(jsa, cutoff)
     cin = jsa.coeffs
     out = np.zeros((target + 1, target + 1), dtype=complex)
-    kmax = _populated_kmax(cin)
-    for k in range(kmax + 1):
-        full = np.zeros(k + 1, dtype=complex)
-        lo = max(0, k - jsa.cutoff)
-        hi = min(k, jsa.cutoff)
-        for n in range(lo, hi + 1):
-            full[n] = cin[n, k - n]
-        if not np.any(full):
+    for k in range(_populated_kmax(cin) + 1):
+        n = np.arange(max(0, k - jsa.cutoff), min(k, jsa.cutoff) + 1)
+        sector = cin[n, k - n]
+        if not np.any(sector):
             continue
-        image = sector_matrix(k) @ full
-        for r in range(k + 1):
-            if r <= target and k - r <= target:
-                out[r, k - r] += image[r]
+        r = np.arange(max(0, k - target), min(k, target) + 1)
+        out[r, k - r] = sector_matrix(k)[np.ix_(r, n)] @ sector
     result = JointSpectralAmplitude(out, jsa.sigma)
     _warn_truncation(jsa.norm_squared - result.norm_squared)
     return result
@@ -227,6 +222,7 @@ def hom_output(n=1, sigma=1.0):
     """Two photons in basis mode n, one per arm, after the beam splitter."""
     if n < 0:
         raise ValueError("mode order must be >= 0")
+    _check_sector_cost(2 * n)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
     photon = SpectralState(coeffs=coeffs, sigma=sigma)

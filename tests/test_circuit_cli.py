@@ -341,6 +341,32 @@ def test_cli_missing_circuit_file(capsys):
     assert err["error"]["exit_code"] == 2
 
 
+def test_cli_unreadable_circuit_is_a_json_error(tmp_path, capsys):
+    # A directory as --circuit raises IsADirectoryError, not FileNotFoundError.
+    for argv in (
+        ["fgbs", "prob", "--pattern", "0"],
+        ["fgbs", "sample", "--shots", "3"],
+        ["wigner"],
+    ):
+        assert cli.main(argv + ["--circuit", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "error"
+        assert err["error"]["exit_code"] == 1
+
+
+def test_cli_sector_cost_guard_exit_code(capsys):
+    # Refused from the (k+1)^2 estimate alone, before any sector is built.
+    for argv in (["hom", "--n", "1000000"], ["metrology", "--photons", "4000000"]):
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "cost-guard"
+        assert err["error"]["exit_code"] == 4
+
+
 def test_cli_unknown_gate_exit_code(tmp_path, capsys):
     doc = json.loads(json.dumps(MIXER_2))
     doc["ops"][0]["gate"] = "beamsplitter"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tfsim import metrology as mt
+from tfsim.exceptions import CostGuardError
 
 
 def random_sector_state(rng, n_total):
@@ -205,6 +206,32 @@ def test_best_fisher_precision_saturates_quantum_bound():
         bound = mt.quantum_fisher_information(n_total) ** -0.5
         assert 0.0 < phi < np.pi
         assert float(est) == pytest.approx(bound, rel=1e-9)
+
+
+def test_best_precision_equals_minimum_of_single_phase_calls():
+    # The batched grid evaluation against one phase_precision call per phi,
+    # on the twin probe and on a state with first moments.
+    lopsided = random_sector_state(np.random.default_rng(17), 6)
+    phis = np.linspace(0.0, np.pi, 183)[1:-1]
+    for state in (mt.twin_state(6), lopsided):
+        for estimator in mt.ESTIMATORS:
+            single = [mt.phase_precision(6, phi, estimator, state=state) for phi in phis]
+            expected = min(single, key=float)
+            phi, est = mt.best_precision(6, estimator, state=state)
+            assert float(est) == pytest.approx(float(expected), rel=1e-12)
+            assert est.degenerate == expected.degenerate
+            at_phi = single[list(phis).index(phi)]
+            assert est.phi == phi
+            assert float(est) == pytest.approx(float(at_phi), rel=1e-12)
+            assert est.degenerate == at_phi.degenerate
+            assert est.derivative == pytest.approx(at_phi.derivative, rel=1e-9, abs=1e-12)
+
+
+def test_sector_cost_guard_in_metrology():
+    with pytest.raises(CostGuardError):
+        mt.twin_state(1000)
+    with pytest.raises(CostGuardError):
+        mt.precision_sweep((2, 4, 4_000_000), "fisher")
 
 
 def test_fisher_periodicity_in_pi():

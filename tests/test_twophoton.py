@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tfsim import twophoton as tp
+from tfsim.exceptions import CostGuardError
 from tfsim.hg import SpectralState, decompose, hg_value
 
 S2 = math.sqrt(2.0)
@@ -51,9 +52,58 @@ def test_sector_matrix_orthogonal_up_to_24():
         assert np.max(np.abs(u @ u.T - np.eye(k + 1))) < 1e-12
 
 
-def test_sector_matrix_is_cached_and_read_only():
+def literal_sector_matrix(k):
+    """The FBS sector matrix by expanding (a - b)^n (a + b)^m / sqrt(2^k) term by term."""
+    u = np.zeros((k + 1, k + 1))
+    for n in range(k + 1):
+        m = k - n
+        for r in range(k + 1):
+            acc = 0
+            for q in range(max(0, r - n), min(m, r) + 1):
+                acc += math.comb(n, r - q) * math.comb(m, q) * (-1) ** (n - r + q)
+            if acc:
+                amp = math.exp(
+                    0.5
+                    * (
+                        math.lgamma(r + 1)
+                        + math.lgamma(k - r + 1)
+                        - math.lgamma(n + 1)
+                        - math.lgamma(m + 1)
+                    )
+                )
+                u[r, n] = amp * acc * 2.0 ** (-0.5 * k)
+    return u
+
+
+def test_sector_matrix_matches_literal_expansion_up_to_60():
+    for k in range(61):
+        assert np.max(np.abs(tp.sector_matrix(k) - literal_sector_matrix(k))) < 1e-13
+
+
+def test_sector_matrix_orthogonal_at_high_order():
+    for k in (100, 200):
+        u = tp.sector_matrix(k)
+        assert u.shape == (k + 1, k + 1)
+        assert np.max(np.abs(u @ u.T - np.eye(k + 1))) < 1e-13
+
+
+def test_hom_coincidence_at_high_order():
+    # Twin photons in HG_n coincide with probability (C(n, n/2) / 2^n)^2.
+    for n in (50, 100):
+        jsa = tp.hom_output(n)
+        expected = (math.comb(n, n // 2) / 2.0**n) ** 2
+        assert tp.coincidence_probability(jsa, n, n) == pytest.approx(expected, rel=1e-10)
+
+
+def test_sector_cost_guard():
+    with pytest.raises(CostGuardError):
+        tp.sector_matrix(1000)  # (k+1)^2 = 1 002 001 units > 10^6
+    with pytest.raises(CostGuardError):
+        tp.hom_output(500)  # sector k = 1000
+
+
+def test_sector_matrix_is_read_only():
     u = tp.sector_matrix(3)
-    assert tp.sector_matrix(3) is u
     with pytest.raises(ValueError):
         u[0, 0] = 99.0
 
