@@ -7,10 +7,11 @@ pattern n = (n_1, ..., n_N) of HG mode orders the probability
 
 where Sigma_Q = Sigma_c + I/2 in the (alpha, alpha*) basis, A is the
 block-swapped matrix X (I - Sigma_Q^{-1}) with X = [[0, I], [I, 0]], and
-``reduce`` repeats rows/columns i and N+i of A n_i times. The hafnian is
-evaluated through the moment identity in :func:`tfsim.hafnian.reduced_hafnian`
-whose cost scales with prod (n_i + 1)^2 rather than with the reduced
-dimension's matching count.
+``reduce`` repeats rows/columns i and N+i of A n_i times. The hafnians come
+from the Gaussian recurrence :func:`tfsim.hafnian.hafnian_box` on the full A,
+for pure and mixed sources alike: one pattern fills the box of its nonzero
+modes, prod (n_i + 1)^2 entries, and reads the corner; a table up to a cutoff
+c fills the (c + 1)^(2N) box once and reads its diagonal.
 
 Everything is cross-checked against :func:`oracle_probability`, which knows
 nothing of hafnians: it reconstructs the pure-state frequency wavefunction
@@ -19,8 +20,8 @@ tensor-product Gauss-Hermite quadrature.
 
 Cost guards protect the hafnian evaluation and the sampler's pattern
 enumeration; the limit defaults to DEFAULT_MAX_COST cost units (one unit =
-one term of the moment sum) and can be overridden per call or through the
-TFSIM_MAX_COST environment variable.
+one entry of the recurrence box) and can be overridden per call or through
+the TFSIM_MAX_COST environment variable (a non-negative decimal integer).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from scipy.special import roots_hermite
 from ._text import emit, table_text
 from .exceptions import CostGuardError, InsufficientMassError
 from .gaussian import purity_defect, to_complex_covariance
-from .hafnian import _check_pattern, reduced_hafnian
+from .hafnian import _check_pattern, hafnian_box
 from .hg import hermite_functions
 
 __all__ = [
@@ -60,10 +61,15 @@ PURITY_TOL = 1e-8
 
 
 def _cost_limit(max_cost):
+    """The guard's limit: ``max_cost``, else TFSIM_MAX_COST, else the default."""
     if max_cost is not None:
+        if int(max_cost) < 0:
+            raise ValueError(f"max_cost must be >= 0, got {max_cost}")
         return int(max_cost)
-    env = os.environ.get("TFSIM_MAX_COST")
-    return int(env) if env else DEFAULT_MAX_COST
+    env = os.environ.get("TFSIM_MAX_COST") or str(DEFAULT_MAX_COST)
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"TFSIM_MAX_COST must be a non-negative decimal integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,16 @@ def build_distribution(state):
     )
 
 
-def _pattern_cost(pattern):
-    return math.prod((v + 1) ** 2 for v in pattern)
+def _box_diagonal(dist, modes, cutoffs):
+    """P(n) for every n <= cutoffs on ``modes`` (others 0): one box's diagonal (n, n)."""
+    idx = list(modes) + [dist.n_modes + i for i in modes]
+    side = math.prod(c + 1 for c in cutoffs)
+    box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [c + 1 for c in cutoffs] * 2)
+    values = dist.prefactor * box.reshape(side, side).diagonal()
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > IMAG_TOL:
+        raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
+    return values.real
 
 
 def probability(dist, pattern, max_cost=None):
@@ -131,17 +145,13 @@ def probability(dist, pattern, max_cost=None):
     """
     pattern = _check_pattern(pattern, dist.n_modes)
     limit = _cost_limit(max_cost)
-    cost = _pattern_cost(pattern)
+    cost = math.prod((v + 1) ** 2 for v in pattern)
     if cost > limit:
         raise CostGuardError(f"pattern cost {cost} exceeds the limit {limit}")
     if dist.is_pure and sum(pattern) % 2:
         return 0.0
-    haf = reduced_hafnian(dist.a_matrix, pattern)
-    value = dist.prefactor * haf / math.prod(math.factorial(v) for v in pattern)
-    value = complex(value)
-    if abs(value.imag) > IMAG_TOL:
-        raise ArithmeticError(f"probability has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    active = [i for i, v in enumerate(pattern) if v]
+    return float(_box_diagonal(dist, active, [pattern[i] for i in active])[-1])
 
 
 def _pure_wavefunction_params(state):
@@ -196,21 +206,19 @@ def oracle_probability(state, pattern, rule_order=48):
     return float(np.abs(amp) ** 2)
 
 
-def _enumeration_cost(cutoff, n_modes):
-    return sum((j + 1) ** 2 for j in range(cutoff + 1)) ** n_modes
-
-
 def _enumerate_probabilities(dist, cutoff, max_cost):
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     limit = _cost_limit(max_cost)
-    cost = _enumeration_cost(cutoff, dist.n_modes)
+    cost = (cutoff + 1) ** (2 * dist.n_modes)
     if cost > limit:
         raise CostGuardError(
             f"enumerating patterns up to cutoff {cutoff} costs {cost} > limit {limit}"
         )
     patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
-    probs = np.array([probability(dist, p, max_cost=limit) for p in patterns])
+    probs = _box_diagonal(dist, range(dist.n_modes), [cutoff] * dist.n_modes)
+    if dist.is_pure:
+        probs[[sum(p) % 2 == 1 for p in patterns]] = 0.0
     if float(probs.min()) < -1e-9:
         raise ArithmeticError(f"negative probability {probs.min():.3e} encountered")
     return patterns, np.clip(probs, 0.0, None)

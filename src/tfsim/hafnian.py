@@ -14,29 +14,28 @@ permutation sum, kept as an independent oracle for small matrices, and
 index subsets. Both accept object-dtype matrices (exact integers, symbols), so
 algebraic identities can be checked without floating point.
 
-:func:`reduced_hafnian` evaluates haf(reduce(A, pattern)) through the exact
-Gaussian-moment polarization identity
+:func:`hafnian_box`, the kernel behind :mod:`tfsim.fgbs`, fills a whole box of
+reduced hafnians by the Gaussian recurrence of Miatto & Quesada, Quantum 4,
+366 (2020), arXiv:2004.11002, in one pass over the box:
 
-    E[prod_i z_i^{m_i}] = 1/(2^s s!) sum_{0 <= v <= m} (-1)^{|v|}
-                          prod_i C(m_i, v_i) ((m/2 - v)^T A (m/2 - v))^s,
+    R[m + e_i] = (sum_j A_ij sqrt(m_j) R[m - e_j]) / sqrt(m_i + 1),  R[0] = 1.
 
-s = (sum m_i)/2, which costs prod_i (m_i + 1) terms instead of enumerating
-matchings. It is the faster kernel behind the same reduction semantics and is
-property-tested against ``hafnian(reduce(A, pattern))``.
+It sums the matching sum's own products, so its rounding error stays of the
+order of haf(|A_m|); it is tested against ``hafnian(reduce(A, pattern))``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 __all__ = [
     "hafnian",
+    "hafnian_box",
     "hafnian_perm_sum",
     "reduce",
-    "reduced_hafnian",
 ]
 
 #: Largest matrix dimension hafnian() accepts.
@@ -167,41 +166,33 @@ def reduce(A, pattern):
     return A[np.ix_(idx, idx)]
 
 
-def _gaussian_moment(A, exponents):
-    """E[prod z_i^{m_i}] for formal zero-mean Gaussian z with covariance A."""
-    m = np.asarray(exponents, dtype=int)
-    total = int(m.sum())
-    if total % 2:
-        return 0.0 + 0.0j
-    s = total // 2
-    if s == 0:
-        return 1.0 + 0.0j
-    A = np.asarray(A, dtype=complex)
-    active = np.flatnonzero(m)
-    m_act = m[active]
-    A_act = A[np.ix_(active, active)]
-    grids = np.meshgrid(*[np.arange(mi + 1) for mi in m_act], indexing="ij")
-    V = np.stack([g.ravel() for g in grids], axis=1)
-    H = m_act[None, :] / 2.0 - V
-    quad = np.einsum("ki,ij,kj->k", H, A_act, H)
-    signs = np.where(V.sum(axis=1) % 2, -1.0, 1.0)
-    binoms = np.ones(len(V))
-    for axis, mi in enumerate(m_act):
-        binoms *= np.array([comb(int(mi), int(v)) for v in range(mi + 1)])[V[:, axis]]
-    return complex(np.sum(signs * binoms * quad ** s) / (2 ** s * factorial(s)))
+def hafnian_box(A, shape):
+    """R[m] = haf(A_m) / sqrt(prod m_i!) for every index vector 0 <= m < shape.
 
-
-def reduced_hafnian(A, pattern):
-    """haf(reduce(A, pattern)) without materializing the reduced matrix.
-
-    Exact polarization identity over prod(pattern + 1)^2-ish terms; equal to
-    ``hafnian(reduce(A, pattern))`` (property-tested) but polynomial-cost in
-    the pattern, so large repeated patterns stay tractable.
+    A_m repeats row and column i of the symmetric matrix A m_i times, so for
+    m = (n, n), R[m] = haf(reduce(A, n)) / prod n_i!. Axes fill last first;
+    axis k's slice t + 1 comes from its slices t and t - 1. Every product by
+    a complex coefficient runs over a contiguous array (NumPy may round
+    strided and 0-d ones differently), so a sub-box holds the same values.
     """
-    A = _as_square(A, "A")
-    if A.shape[0] % 2:
-        raise ValueError("A must have even dimension 2N")
-    N = A.shape[0] // 2
-    pattern = _check_pattern(pattern, N)
-    exponents = np.concatenate([pattern, pattern])
-    return _gaussian_moment(A, exponents)
+    A = np.asarray(A, dtype=complex)
+    shape = tuple(int(d) for d in shape)
+    if A.shape != (len(shape),) * 2 or min(shape, default=1) < 1:
+        raise ValueError("the box needs one axis of length >= 1 per row of A")
+    box = np.zeros(shape, dtype=complex)
+    box[(0,) * len(shape)] = 1.0
+    roots = [np.sqrt(np.arange(1.0, d)) for d in shape]
+    for k in reversed(range(len(shape))):
+        sub = box[(0,) * k]
+        # sqrt(m_j) along axis j - k of a slice sub[t:t + 1], for j > k.
+        weights = [roots[j].reshape((-1,) + (1,) * (len(shape) - 1 - j))
+                   for j in range(k + 1, len(shape))]
+        for t in range(shape[k] - 1):
+            cur, new = sub[t:t + 1], sub[t + 1:t + 2]
+            if t:
+                np.multiply(sub[t - 1:t], A[k, k] * (roots[k][t - 1] / roots[k][t]), out=new)
+            for j, w in enumerate(weights, start=k + 1):
+                lead = (slice(None),) * (j - k)
+                shifted = w * cur[lead + (slice(None, -1),)]
+                new[lead + (slice(1, None),)] += (A[k, j] / roots[k][t]) * shifted
+    return box

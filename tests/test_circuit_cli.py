@@ -393,6 +393,72 @@ def test_cli_cost_guard_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"]["type"] == "cost-guard"
 
 
+def test_cli_fgbs_prob_thirty_photon_pairs(tmp_path, capsys):
+    # TMSV of width 3: P(30, 30) = tanh(ln 3)^60 / cosh(ln 3)^2 = 5.516983947e-7.
+    doc = {
+        "modes": 2,
+        "inputs": [{"type": "gaussian", "width": 3.0}, {"type": "gaussian", "width": 1.0 / 3.0}],
+        "ops": [{"gate": "fbs", "targets": [0, 1]}],
+    }
+    path = write_circuit(tmp_path, doc)
+    assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "30,30"]) == 0
+    value = json.loads(capsys.readouterr().out)["probability"]
+    r = math.log(3.0)
+    expected = math.tanh(r) ** 60 / math.cosh(r) ** 2
+    assert expected == pytest.approx(5.516983947e-7, rel=1e-9)
+    assert value > 0.0
+    assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9", "-5", "1.5", "0x10"])
+def test_cli_malformed_cost_limit_is_a_json_error(tmp_path, capsys, monkeypatch, value):
+    # The one guard limit is shared by the pattern kernel and the sector guard.
+    path = write_circuit(tmp_path, MIXER_2)
+    monkeypatch.setenv("TFSIM_MAX_COST", value)
+    for argv in (["fgbs", "prob", "--circuit", path, "--pattern", "2,2"], ["hom", "--n", "2"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "error"
+        assert "TFSIM_MAX_COST" in err["error"]["message"]
+        assert repr(value) in err["error"]["message"]
+
+
+def test_cli_fgbs_sample_three_modes_at_default_cutoff(tmp_path, capsys, monkeypatch):
+    # The (8 + 1)^6 = 531 441-entry box fits the default limit; four modes,
+    # (8 + 1)^8 entries, are refused from the estimate before any box is built.
+    doc = {
+        "modes": 3,
+        "inputs": [{"type": "gaussian", "width": w} for w in (1.2, 0.9, 1.1)],
+        "ops": [
+            {"gate": "fbs", "targets": [0, 1]},
+            {"gate": "frft", "targets": [1], "params": {"phi": 0.4}},
+            {"gate": "fbs", "targets": [1, 2]},
+        ],
+    }
+    dist = fgbs.build_distribution(ct.run_circuit(parse(doc)))
+    assert fgbs.total_probability(dist, cutoff=8) >= fgbs.MASS_REQUIREMENT
+    path = write_circuit(tmp_path, doc)
+    assert cli.main(["fgbs", "sample", "--circuit", path, "--shots", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20
+    assert all(len(json.loads(line)["pattern"]) == 3 for line in lines)
+
+    def refuse(*args):
+        raise AssertionError("the estimate alone must refuse this size")
+
+    monkeypatch.setattr(fgbs, "hafnian_box", refuse)
+    doc4 = dict(doc, modes=4, inputs=doc["inputs"] + [{"type": "gaussian", "width": 1.0}])
+    path4 = write_circuit(tmp_path, doc4, name="four.json")
+    assert cli.main(["fgbs", "sample", "--circuit", path4, "--shots", "20"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "cost-guard"
+    assert str(9**8) in err["error"]["message"]
+
+
 def test_cli_bad_pattern_exit_code(tmp_path, capsys):
     path = write_circuit(tmp_path, MIXER_2)
     assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "1,x"]) == 1

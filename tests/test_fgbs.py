@@ -1,13 +1,16 @@
 """Tests for frequency-domain Gaussian boson sampling probabilities and sampling."""
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from tfsim import circuit as ct
 from tfsim import fgbs
 from tfsim import gaussian as g
+from tfsim import hafnian as hf
 from tfsim import twophoton as tp
 from tfsim.exceptions import CostGuardError, InsufficientMassError
 from tfsim.hg import decompose, hg_value
@@ -79,6 +82,34 @@ def test_two_mode_squeezing_closed_form():
     assert fgbs.probability(dist, (1, 2)) == 0.0  # odd total, pure source
 
 
+def tmsv_distribution(s):
+    state = g.vacuum_state(2)
+    state = g.apply(state, g.scale(0, s, 2))
+    state = g.apply(state, g.scale(1, 1.0 / s, 2))
+    return fgbs.build_distribution(g.apply(state, g.fbs(0, 1, 2)))
+
+
+@pytest.mark.parametrize("s", [1.5, 3.0])
+def test_two_mode_squeezing_ladder_to_thirty_photons(s):
+    # P(n, n) = tanh(r)^(2n) / cosh(r)^2 stays exact far past n <= 8; at
+    # width 3 the last rung is ~5.5e-7, so every value must stay positive.
+    r = math.log(s)
+    dist = tmsv_distribution(s)
+    for n in range(31):
+        expected = math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
+        assert fgbs.probability(dist, (n, n)) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_single_mode_squeezing_to_sixty_photons():
+    # P(2k) = C(2k, k) tanh(r)^(2k) / (4^k cosh(r)) for 2k <= 60.
+    s = 2.0
+    r = math.log(s)
+    dist = fgbs.build_distribution(scaled_state(s))
+    for k in range(31):
+        expected = math.comb(2 * k, k) / 4.0**k * math.tanh(r) ** (2 * k) / math.cosh(r)
+        assert fgbs.probability(dist, (2 * k,)) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
 def test_thermal_source_populates_odd_orders():
     # A mixed single-mode source with covariance (nbar + 1/2) I is thermal in
     # the mode ladder: P(n) = nbar^n / (nbar + 1)^(n+1), odd orders included.
@@ -89,6 +120,67 @@ def test_thermal_source_populates_odd_orders():
     for n in range(5):
         expected = nbar**n / (nbar + 1.0) ** (n + 1)
         assert fgbs.probability(dist, (n,)) == pytest.approx(expected, rel=1e-10)
+
+
+def hafnian_oracle(dist, pattern):
+    """prefactor haf(reduce(A, n)) / n! and the same with |reduce(A, n)|."""
+    reduced = hf.reduce(dist.a_matrix, np.array(pattern))
+    norm = dist.prefactor / math.prod(math.factorial(v) for v in pattern)
+    return norm * hf.hafnian(reduced), norm * hf.hafnian(np.abs(reduced))
+
+
+def test_mixed_sources_match_hafnian_oracle():
+    # The thermal source and a single-mode marginal of a pure two-mode state
+    # are mixed: the kernel runs on the full A and fills odd totals too.
+    thermal = g.GaussianTFState(np.zeros(2), np.eye(2))
+    marginal = g.reduce_to_mode(random_two_mode_state(np.random.default_rng(3)), 1)
+    for state in (thermal, marginal):
+        dist = fgbs.build_distribution(state)
+        assert not dist.is_pure
+        for n in range(8):
+            ref, scale = hafnian_oracle(dist, (n,))
+            assert ref.real > 0.0
+            assert abs(fgbs.probability(dist, (n,)) - ref) <= 1e-12 * scale
+
+
+def wide_pure_circuit(seed, modes=100, gates=150):
+    """A seeded pure circuit: a fifth of the inputs squeezed, mixers on near modes."""
+    rng = np.random.default_rng(seed)
+    squeezed = set(rng.choice(modes, modes // 5, replace=False).tolist())
+    doc = {
+        "modes": modes,
+        "inputs": [{"type": "gaussian", "width": float(rng.uniform(0.8, 1.25))
+                    if m in squeezed else 1.0} for m in range(modes)],
+        "ops": [],
+    }
+    for i in range(gates):
+        m = int(rng.integers(modes))
+        if i % 3 == 0:
+            op = {"gate": "fbs", "targets": [m, (m + int(rng.integers(1, 4))) % modes]}
+        elif i % 3 == 1:
+            op = {"gate": "frft", "targets": [m], "params": {"phi": float(rng.uniform(0, 6.3))}}
+        else:
+            op = {"gate": "scale", "targets": [m], "params": {"s": float(rng.uniform(0.7, 1.4))}}
+        doc["ops"].append(op)
+    return doc
+
+
+def test_weakly_coupled_wide_patterns_match_hafnian_oracle():
+    # For a pure state the off-diagonal block of A is rounding noise (~1e-16),
+    # but for weakly coupled modes it carries the whole P ~ 1e-32: a kernel
+    # that reads only the top-left block gets 0 there.
+    doc = wide_pure_circuit(seed=4)
+    dist = fgbs.build_distribution(ct.run_circuit(ct.parse_circuit(json.dumps(doc))))
+    pairs = [tuple(op["targets"]) for op in doc["ops"] if op["gate"] == "fbs"][:20]
+    weakest = 1.0
+    for a, b in pairs:
+        for na, nb in ((1, 1), (2, 2), (1, 3)):
+            pattern = [0] * doc["modes"]
+            pattern[a], pattern[b] = na, nb
+            ref, scale = hafnian_oracle(dist, pattern)
+            assert abs(fgbs.probability(dist, pattern) - ref) <= 1e-10 * scale
+            weakest = min(weakest, ref.real)
+    assert 0.0 < weakest <= 1e-30
 
 
 def test_formula_matches_quadrature_oracle():
@@ -176,6 +268,23 @@ def test_pattern_cost_guard_parameter_and_env(monkeypatch):
         fgbs.total_probability(dist, cutoff=4)
 
 
+def test_cost_limit_rejects_negative_and_malformed_values(monkeypatch):
+    dist = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
+    with pytest.raises(ValueError, match="max_cost"):
+        fgbs.probability(dist, (0, 0), max_cost=-1)
+    assert fgbs.probability(dist, (0, 0), max_cost=1) == dist.prefactor
+    with pytest.raises(CostGuardError):
+        fgbs.probability(dist, (0, 0), max_cost=0)
+    for value in ("abc", "1e9", "-5", " 7"):
+        monkeypatch.setenv("TFSIM_MAX_COST", value)
+        with pytest.raises(ValueError, match="TFSIM_MAX_COST"):
+            fgbs.probability(dist, (0, 0))
+    monkeypatch.setenv("TFSIM_MAX_COST", "0081")
+    assert fgbs.probability(dist, (2, 2)) >= 0.0
+    monkeypatch.setenv("TFSIM_MAX_COST", "")
+    assert fgbs.probability(dist, (2, 2)) >= 0.0
+
+
 def test_total_probability_monotone_and_sufficient():
     state = g.vacuum_state(2)
     state = g.apply(state, g.scale(0, 1.5, 2))
@@ -260,6 +369,30 @@ def test_probability_table_csv(tmp_path):
     pat, prob = lines[1].split(",")
     assert pat == "0"
     assert float(prob) == pytest.approx(fgbs.probability(dist, (0,)), rel=1e-15)
+
+
+def test_table_equals_per_pattern_probabilities_bit_for_bit():
+    # One cutoff box for the table, one box of the nonzero modes per pattern:
+    # the values must agree exactly, for pure and mixed sources on 1-3 modes.
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        n = int(rng.integers(1, 4))
+        state = g.vacuum_state(n)
+        for _ in range(6):
+            mode = int(rng.integers(n))
+            if n > 1 and rng.random() < 0.4:
+                state = g.apply(state, g.fbs(mode, (mode + 1) % n, n))
+            elif rng.random() < 0.5:
+                state = g.apply(state, g.frft(mode, float(rng.uniform(0, 2 * np.pi)), n))
+            else:
+                state = g.apply(state, g.scale(mode, float(rng.uniform(0.7, 1.4)), n))
+        if trial % 3 == 0:
+            state = g.GaussianTFState(state.mean, state.cov + 0.1 * np.eye(2 * n))
+        dist = fgbs.build_distribution(state)
+        cutoff = int(rng.integers(2, {1: 14, 2: 8, 3: 5}[n]))
+        patterns, probs = fgbs._enumerate_probabilities(dist, cutoff, None)
+        for pattern, value in zip(patterns, probs.tolist()):
+            assert max(fgbs.probability(dist, pattern), 0.0) == value, (trial, pattern)
 
 
 def test_distribution_prefactor_matches_purity():

@@ -1,5 +1,6 @@
-"""Tests for hafnian evaluation, reductions, and the moment-formula kernel."""
+"""Tests for hafnian evaluation, reductions, and the Gaussian recurrence kernel."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -148,17 +149,39 @@ def test_reduce_structure():
         hf.reduce(np.zeros((3, 3)), np.array([1]))  # odd ambient dimension
 
 
-def test_reduced_hafnian_matches_reduce_then_hafnian():
+def test_hafnian_box_matches_reduce_then_hafnian():
+    # Every pattern n of the box, read at m = (n, n), against the memoized
+    # recursion on the explicitly reduced matrix.
     rng = np.random.default_rng(21)
     for _ in range(20):
         N = int(rng.choice([1, 2, 3]))
         A = random_symmetric(rng, 2 * N, scale=0.6)
         pattern = rng.integers(0, 4, size=N)
-        direct = hf.hafnian(hf.reduce(A, pattern))
-        fast = hf.reduced_hafnian(A, pattern)
-        assert abs(fast - direct) < 1e-10 * max(1.0, abs(direct))
+        box = hf.hafnian_box(A, np.concatenate([pattern, pattern]) + 1)
+        for n in np.ndindex(*(pattern + 1)):
+            direct = hf.hafnian(hf.reduce(A, np.array(n)))
+            fast = box[n + n] * math.prod(math.factorial(v) for v in n)
+            assert abs(fast - direct) < 1e-10 * max(1.0, abs(direct))
 
 
-def test_reduced_hafnian_empty_pattern():
+def test_hafnian_box_general_index_vectors():
+    # Off the (n, n) diagonal, R[m] sqrt(m!) is the hafnian of A with row and
+    # column i repeated m_i times, and 0 for an odd total.
+    rng = np.random.default_rng(5)
+    A = random_symmetric(rng, 3, scale=0.8)
+    box = hf.hafnian_box(A, (3, 4, 3))
+    for m in np.ndindex(*box.shape):
+        idx = np.repeat(np.arange(3), m)
+        direct = hf.hafnian(A[np.ix_(idx, idx)]) if idx.size % 2 == 0 else 0.0
+        fast = box[m] * math.sqrt(math.prod(math.factorial(v) for v in m))
+        assert abs(fast - direct) < 1e-12 * max(1.0, abs(direct))
+
+
+def test_hafnian_box_empty_and_invalid():
+    assert hf.hafnian_box(np.zeros((0, 0)), ()) == 1.0
     A = random_symmetric(np.random.default_rng(0), 4)
-    assert hf.reduced_hafnian(A, np.array([0, 0])) == 1.0
+    assert np.array_equal(hf.hafnian_box(A, (1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
+    with pytest.raises(ValueError):
+        hf.hafnian_box(A, (2, 2))  # one axis per row of A
+    with pytest.raises(ValueError):
+        hf.hafnian_box(A, (2, 0, 2, 2))
