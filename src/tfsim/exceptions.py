@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the cost guard shared across the package."""
+
+import os
 
 __all__ = [
     "TfsimError",
@@ -6,7 +8,26 @@ __all__ = [
     "UnknownGateError",
     "CostGuardError",
     "InsufficientMassError",
+    "DEFAULT_MAX_COST",
 ]
+
+DEFAULT_MAX_COST = 1_000_000
+
+
+def _check_cost(cost, what, max_cost=None):
+    """Raise CostGuardError when ``what`` costs more units than the limit: ``max_cost``,
+    else TFSIM_MAX_COST (a non-negative decimal integer), else DEFAULT_MAX_COST."""
+    if max_cost is not None:
+        if int(max_cost) < 0:
+            raise ValueError(f"max_cost must be >= 0, got {max_cost}")
+        limit = int(max_cost)
+    else:
+        env = os.environ.get("TFSIM_MAX_COST") or str(DEFAULT_MAX_COST)
+        if not (env.isascii() and env.isdigit()):
+            raise ValueError(f"TFSIM_MAX_COST must be a non-negative decimal integer, got {env!r}")
+        limit = int(env)
+    if cost > limit:
+        raise CostGuardError(f"{what} costs {cost} > limit {limit}")
 
 
 class TfsimError(Exception):

@@ -28,17 +28,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from ._text import emit, table_text
-from .exceptions import CostGuardError, InsufficientMassError
+from .exceptions import DEFAULT_MAX_COST, CostGuardError, InsufficientMassError, _check_cost
 from .gaussian import purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, hafnian_box
-from .hg import hermite_functions
+from .hg import gauss_hermite, hermite_functions
 
 __all__ = [
     "FgbsDistribution",
@@ -53,23 +51,10 @@ __all__ = [
     "probability_table_csv",
 ]
 
-DEFAULT_MAX_COST = 1_000_000
 MASS_REQUIREMENT = 0.999
 IMAG_TOL = 1e-10
 MEAN_TOL = 1e-12
 PURITY_TOL = 1e-8
-
-
-def _cost_limit(max_cost):
-    """The guard's limit: ``max_cost``, else TFSIM_MAX_COST, else the default."""
-    if max_cost is not None:
-        if int(max_cost) < 0:
-            raise ValueError(f"max_cost must be >= 0, got {max_cost}")
-        return int(max_cost)
-    env = os.environ.get("TFSIM_MAX_COST") or str(DEFAULT_MAX_COST)
-    if not (env.isascii() and env.isdigit()):
-        raise ValueError(f"TFSIM_MAX_COST must be a non-negative decimal integer, got {env!r}")
-    return int(env)
 
 
 @dataclass(frozen=True)
@@ -144,10 +129,7 @@ def probability(dist, pattern, max_cost=None):
     sources can populate odd totals and take the full hafnian path.
     """
     pattern = _check_pattern(pattern, dist.n_modes)
-    limit = _cost_limit(max_cost)
-    cost = math.prod((v + 1) ** 2 for v in pattern)
-    if cost > limit:
-        raise CostGuardError(f"pattern cost {cost} exceeds the limit {limit}")
+    _check_cost(math.prod((v + 1) ** 2 for v in pattern), f"pattern {pattern}", max_cost)
     if dist.is_pure and sum(pattern) % 2:
         return 0.0
     active = [i for i, v in enumerate(pattern) if v]
@@ -191,13 +173,12 @@ def oracle_probability(state, pattern, rule_order=48):
         raise ValueError("quadrature oracle handles pure states only")
     v, u = _pure_wavefunction_params(state)
     m = v + 1j * u
-    nodes, weights = roots_hermite(rule_order)
-    modified = np.exp(np.log(weights) + nodes**2)
-    factors = [hermite_functions(k, nodes)[k] * modified for k in pattern]
+    rule = gauss_hermite(rule_order)
+    factors = [hermite_functions(k, rule.nodes)[k] * rule.scaled_weights for k in pattern]
     weight_tensor = factors[0]
     for f in factors[1:]:
         weight_tensor = np.multiply.outer(weight_tensor, f)
-    grids = np.meshgrid(*([nodes] * n_modes), indexing="ij")
+    grids = np.meshgrid(*([rule.nodes] * n_modes), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     quad = np.einsum("gi,ij,gj->g", pts, m, pts)
     pref = (np.linalg.det(v) / np.pi**n_modes) ** 0.25
@@ -209,12 +190,8 @@ def oracle_probability(state, pattern, rule_order=48):
 def _enumerate_probabilities(dist, cutoff, max_cost):
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    limit = _cost_limit(max_cost)
     cost = (cutoff + 1) ** (2 * dist.n_modes)
-    if cost > limit:
-        raise CostGuardError(
-            f"enumerating patterns up to cutoff {cutoff} costs {cost} > limit {limit}"
-        )
+    _check_cost(cost, f"enumerating patterns up to cutoff {cutoff}", max_cost)
     patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
     probs = _box_diagonal(dist, range(dist.n_modes), [cutoff] * dist.n_modes)
     if dist.is_pure:

@@ -13,15 +13,25 @@ polynomial times the Gaussian; the weighted three-term recurrence
     psi_{n+1}(x) = x sqrt(2/(n+1)) psi_n(x) - sqrt(n/(n+1)) psi_{n-1}(x)
 
 is used instead, which stays finite and accurate at large ``n`` and ``|x|``.
+
+Overlaps use the order-n Gauss-Hermite rule of :func:`gauss_hermite`: the
+square roots of the eigenvalues of the (n//2)-square Laguerre Jacobi matrix
+(alpha = -1/2, or +1/2 plus the node 0 for odd n; Golub & Welsch 1969),
+polished by Newton steps on psi_n with psi_n' = sqrt(2n) psi_{n-1} - x psi_n.
+It keeps the O(1) scaled weights W = w e^{x^2} = 1/(n psi_{n-1}(x)^2) (Townsend,
+Trogdon & Olver 2016), with psi_{n-1} carried as a mantissa and a power of two
+so that no order underflows. A rule charges (n//2)^2 units to the cost guard.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
+
+from .exceptions import _check_cost
 
 __all__ = [
     "AccuracyWarning",
@@ -54,49 +64,67 @@ class QuadratureRule:
     ----------
     nodes : ndarray
         Strictly increasing quadrature nodes.
-    weights : ndarray
-        Positive weights; exact for polynomials of degree <= 2*order - 1.
+    scaled_weights : ndarray
+        Positive scaled weights W = w e^{x^2}; sum W g(x) approximates the
+        integral of g, exactly when g e^{x^2} is a polynomial of degree
+        <= 2*order - 1.
     order : int
         Number of nodes.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
+    scaled_weights: np.ndarray
     order: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
+        scaled = np.asarray(self.scaled_weights, dtype=float)
+        if nodes.ndim != 1 or nodes.shape != scaled.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if len(nodes) != self.order or self.order < 1:
             raise ValueError("order must match the number of nodes and be >= 1")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0):
+        if not np.all((scaled > 0) & np.isfinite(scaled)):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scaled_weights", scaled)
+
+    @property
+    def weights(self):
+        """Plain weights w = W e^{-x^2} (they underflow to 0 at the outer nodes of large orders)."""
+        return self.scaled_weights * np.exp(-self.nodes**2)
+
+
+def _scaled_tail(n, x):
+    """psi_{n-1}(x), psi_n(x) as mantissas times 2**exponent times pi^(-1/4) e^(-x^2/2)."""
+    lo, hi, exponent = np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
+    for k in range(n):
+        lo, hi = hi, (math.sqrt(2.0 / (k + 1)) * x) * hi - math.sqrt(k / (k + 1)) * lo
+        if k % 32 == 31:
+            shift = np.frexp(np.abs(lo) + np.abs(hi))[1]
+            lo, hi, exponent = np.ldexp(lo, -shift), np.ldexp(hi, -shift), exponent + shift
+    return lo, hi, exponent
 
 
 def gauss_hermite(order):
-    """Build the Gauss-Hermite :class:`QuadratureRule` of the given order."""
+    """The Gauss-Hermite :class:`QuadratureRule` of the given order; costs (order // 2)^2 units."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    nodes, weights = roots_hermite(int(order))
-    return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
-
-
-def _recurrence(nmax, x, seed):
-    """Rows 0..nmax of the normalized Hermite recurrence with the given row 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0] = seed
-    if nmax >= 1:
-        out[1] = x * np.sqrt(2.0) * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = x * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
-    return out
+    order, half = int(order), int(order) // 2
+    _check_cost(half * half, f"Gauss-Hermite order {order}")
+    alpha = 0.5 if order % 2 else -0.5
+    k = np.arange(half)
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), 1)
+    x = np.concatenate(([0.0] * (order % 2), np.sqrt(np.linalg.eigvalsh(jacobi, UPLO="U"))))
+    for _ in range(2):  # W comes from the pass before the last step, which moves x by ~eps
+        lo, hi, exponent = _scaled_tail(order, x)
+        log_psi = np.log(np.abs(lo)) + math.log(2.0) * exponent - 0.5 * x * x
+        scaled = math.sqrt(math.pi) / order * np.exp(-2.0 * log_psi)
+        x = x - hi / (math.sqrt(2.0 * order) * lo - x * hi)
+    return QuadratureRule(
+        np.concatenate((-x[::-1][:half], x)), np.concatenate((scaled[::-1][:half], scaled)), order
+    )
 
 
 def hermite_functions(nmax, x):
@@ -108,13 +136,13 @@ def hermite_functions(nmax, x):
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     x = np.asarray(x, dtype=float)
-    return _recurrence(nmax, x, np.pi ** -0.25 * np.exp(-0.5 * x * x))
-
-
-def _hermite_polys(nmax, x):
-    """Normalized Hermite polynomials h_n(x) = psi_n(x) exp(x^2/2), same recurrence."""
-    x = np.asarray(x, dtype=float)
-    return _recurrence(nmax, x, np.full(x.shape, np.pi ** -0.25))
+    out = np.zeros((nmax + 1,) + x.shape)
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if nmax >= 1:
+        out[1] = x * np.sqrt(2.0) * out[0]
+    for n in range(1, nmax):
+        out[n + 1] = x * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
+    return out
 
 
 def hg_value(n, sigma, omega):
@@ -145,19 +173,12 @@ def hg_value(n, sigma, omega):
 
 
 def _overlap_matrix(f, cutoff, sigma, rule):
-    """Coefficients <n|f> for n = 0..cutoff on one quadrature rule.
-
-    The Gaussian quadrature weight is factored analytically: the summand is
-    (normalized Hermite polynomial) * (w_i e^{x_i^2/2}) * f(sigma x_i), with the
-    modified weights formed in log space so large orders cannot overflow.
-    """
+    """Coefficients <n|f> = sqrt(sigma) sum_i psi_n(x_i) W_i f(sigma x_i), n = 0..cutoff."""
     x = rule.nodes
-    half_weights = np.exp(np.log(rule.weights) + 0.5 * x * x)
-    polys = _hermite_polys(cutoff, x)
     fx = np.asarray(f(sigma * x))
     if fx.shape != x.shape:
         raise ValueError("f must map an ndarray of detunings to an equal-shape ndarray")
-    return np.sqrt(sigma) * ((polys * half_weights) @ fx)
+    return np.sqrt(sigma) * ((hermite_functions(cutoff, x) * rule.scaled_weights) @ fx)
 
 
 def _refined_overlaps(f, nmax, sigma, rule, checked, what):

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-12
+ROUNDING_FACTOR = 16
 PROB_FLOOR = 1e-14
 ESTIMATORS = ("jz", "jz_squared", "fisher")
 
@@ -172,8 +173,8 @@ def jz_statistics(state):
 
 class PrecisionEstimate(float):
     """Phase precision delta-phi; carries the signal derivative and a
-    degeneracy flag (set when |d<signal>/dphi| fell below 1e-12, in which
-    case the value is inf)."""
+    degeneracy flag (set when |d<signal>/dphi| fell below 1e-12 or below
+    ROUNDING_FACTOR times its rounding error, in which case the value is inf)."""
 
     def __new__(cls, value, derivative, degenerate, estimator, phi):
         obj = super().__new__(cls, value)
@@ -189,14 +190,14 @@ def _expect(op, chi):
 
 
 def _signal(state, phis):
-    """Output probabilities and their analytic phi-derivatives, one column per
-    phi, from the amplitudes B (e^{i phi n} o B chi) and B (i n e^{i phi n} o B chi)."""
+    """Output probabilities, their analytic phi-derivatives and the amplitudes they come
+    from, amp = B (e^{i phi n} o B chi) and damp = B (i n e^{i phi n} o B chi), a column per phi."""
     b = sector_matrix(state.n_total)
     n = np.arange(state.n_total + 1)
     phased = np.exp(1j * np.outer(n, phis)) * (b @ sector_vector(state))[:, None]
     amp = b @ phased
     damp = b @ (1j * n[:, None] * phased)
-    return np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp)
+    return np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp), amp, damp
 
 
 def _rotated_jz_estimate(state, phis):
@@ -214,21 +215,20 @@ def _rotated_jz_estimate(state, phis):
     c, s = np.cos(phis), np.sin(phis)
     derivative = -s * mean_z - c * mean_x
     variance = c * c * var_z + s * s * var_x - 2.0 * s * c * cov_xz
-    return np.maximum(variance, 0.0), derivative
+    return np.maximum(variance, 0.0), derivative, state.n_total / 2.0 * (np.abs(s) + np.abs(c))
 
 
 def _jz_squared_estimate(state, phis):
-    """Error propagation on the second moment <Jz^2>(phi)."""
-    p, dp = _signal(state, phis)
+    """Error propagation on the second moment <Jz^2>(phi); the variance is taken
+    about the mean, so it does not cancel where it is small."""
+    p, dp, amp, damp = _signal(state, phis)
     m2 = (np.arange(state.n_total + 1) - state.n_total / 2.0) ** 2
-    mean = m2 @ p
-    variance = m2**2 @ p - mean**2
-    return np.maximum(variance, 0.0), m2 @ dp
+    return ((m2[:, None] - m2 @ p) ** 2 * p).sum(axis=0), m2 @ dp, m2 @ np.abs(2.0 * amp * damp)
 
 
 def _fisher_information(state, phi):
     """Classical Fisher information at phi (a scalar or an array of phases)."""
-    p, dp = _signal(state, np.ravel(phi))
+    p, dp = _signal(state, np.ravel(phi))[:2]
     ratio = np.divide(dp**2, p, out=np.zeros_like(p), where=p > PROB_FLOOR)
     return ratio.sum(axis=0).reshape(np.shape(phi))
 
@@ -236,8 +236,9 @@ def _fisher_information(state, phi):
 def _estimates(n_total, phis, estimator, state):
     """delta-phi, signal derivative and degeneracy flag at every phi, as arrays.
 
-    Degenerate points (vanishing signal) get inf; for 'fisher' the derivative
-    slot carries the Fisher information, or 0 when it vanishes.
+    Degenerate points get inf: a vanishing signal, or a derivative within ROUNDING_FACTOR
+    of its rounding error (N+1) eps scale, with the scale each estimator returns.
+    For 'fisher' the derivative slot carries the Fisher information, or 0 when it vanishes.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -252,8 +253,9 @@ def _estimates(n_total, phis, estimator, state):
             value = np.where(degenerate, np.inf, info**-0.5)
         return value, np.where(degenerate, 0.0, info), degenerate
     estimate = _rotated_jz_estimate if estimator == "jz" else _jz_squared_estimate
-    variance, derivative = estimate(state, phis)
-    degenerate = np.abs(derivative) < DEGENERACY_TOL
+    variance, derivative, scale = estimate(state, phis)
+    noise = ROUNDING_FACTOR * (n_total + 1) * np.finfo(float).eps * scale
+    degenerate = np.abs(derivative) < np.maximum(DEGENERACY_TOL, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.where(degenerate, np.inf, np.sqrt(variance) / np.abs(derivative))
     return value, derivative, degenerate

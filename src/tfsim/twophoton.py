@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import emit, table_text
-from .exceptions import CostGuardError
-from .fgbs import _cost_limit
+from .exceptions import _check_cost
 from .hg import SpectralState, hermite_functions
 
 __all__ = [
@@ -51,9 +50,7 @@ class TruncationWarning(UserWarning):
 
 def _check_sector_cost(k):
     """Refuse a total-index-k sector whose (k+1)^2 cost units exceed the guard."""
-    limit = _cost_limit(None)
-    if (k + 1) ** 2 > limit:
-        raise CostGuardError(f"sector k={k} costs {(k + 1) ** 2} > limit {limit}")
+    _check_cost((k + 1) ** 2, f"sector k={k}")
 
 
 def sector_matrix(k):

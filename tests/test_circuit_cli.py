@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,3 +558,17 @@ def test_console_entry_point_runs():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["coincidence"]["probability"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cli_import_loads_no_scipy():
+    # The package depends on NumPy only; importing SciPy was half of CLI start-up.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, tfsim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

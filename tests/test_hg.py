@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tfsim import hg
+from tfsim.exceptions import CostGuardError
 
 # Reference value for hg_value(50, sigma=1, omega=10), computed with mpmath at
 # 60 decimal digits via the direct Hermite-polynomial route.
@@ -87,14 +88,61 @@ def test_hermite_functions_table_matches_scalar():
 
 
 def test_gauss_hermite_polynomial_exactness():
-    # An order-m rule integrates x^(2k) exp(-x^2) exactly for 2k <= 2m-1.
-    rule = hg.gauss_hermite(8)
-    for k in range(7):
-        moment = np.sum(rule.weights * rule.nodes ** (2 * k))
-        exact = math.sqrt(math.pi) * math.factorial(2 * k) / (
-            4.0**k * math.factorial(k)
-        )
-        assert moment == pytest.approx(exact, rel=1e-13)
+    # An order-n rule integrates x^(2k) exp(-x^2) exactly for 2k <= 2n-1.
+    for order in range(1, 65):
+        rule = hg.gauss_hermite(order)
+        for k in range(order):
+            moment = np.sum(rule.weights * rule.nodes ** (2 * k))
+            exact = math.sqrt(math.pi) * math.factorial(2 * k) / (
+                4.0**k * math.factorial(k)
+            )
+            assert moment == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 64, 391, 392, 1032])
+def test_gauss_hermite_nodes_and_weights_are_symmetric(order):
+    # Order 1032 builds only because every W is finite and positive (the rule checks).
+    rule = hg.gauss_hermite(order)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.scaled_weights, rule.scaled_weights[::-1])
+    if order % 2:
+        assert rule.nodes[order // 2] == 0.0
+
+
+@pytest.mark.parametrize("order", [96, 392])
+def test_gauss_hermite_christoffel_identity(order):
+    # W_i = w_i exp(x_i^2) = 1 / sum_{k<n} psi_k(x_i)^2, by the explicit sum.
+    rule = hg.gauss_hermite(order)
+    christoffel = 1.0 / np.sum(hg.hermite_functions(order - 1, rule.nodes) ** 2, axis=0)
+    assert np.max(np.abs(rule.scaled_weights / christoffel - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff, a", [(40, 3.0), (90, 8.0), (250, 10.0)])
+def test_decompose_coherent_spectrum_closed_form(cutoff, a):
+    # f = pi^(-1/4) exp(-(x-a)^2/2) has c_n = exp(-a^2/4) (a/sqrt2)^n / sqrt(n!).
+    # Cutoff 90 doubles to order 392, where plain weights underflow; cutoff 250
+    # doubles to order 1032, where psi_0 underflows at the outer nodes.
+    f = lambda w: np.pi**-0.25 * np.exp(-((w - a) ** 2) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", hg.AccuracyWarning)
+        state = hg.decompose(f, cutoff=cutoff)
+    n = np.arange(cutoff + 1)
+    log_factorial = np.array([math.lgamma(k + 1) for k in n])
+    exact = np.exp(-a * a / 4 + n * math.log(a / math.sqrt(2)) - 0.5 * log_factorial)
+    assert np.max(np.abs(state.coeffs - exact)) <= 1e-10
+    assert abs(state.deficit) <= 1e-9
+
+
+def test_gauss_hermite_cost_guard(monkeypatch):
+    def never(w):
+        raise AssertionError("f must not be evaluated")
+
+    with pytest.raises(CostGuardError):
+        hg.decompose(never, cutoff=10**6)
+    monkeypatch.setenv("TFSIM_MAX_COST", "99")
+    assert hg.gauss_hermite(19).order == 19  # (19 // 2)^2 = 81 units
+    with pytest.raises(CostGuardError):
+        hg.gauss_hermite(20)  # 100 units
 
 
 def test_gauss_hermite_rejects_bad_order():
@@ -238,13 +286,14 @@ def test_spectral_state_norm_and_deficit():
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):  # nodes not increasing
         hg.QuadratureRule(
-            nodes=np.array([1.0, -1.0]), weights=np.array([1.0, 1.0]), order=2
+            nodes=np.array([1.0, -1.0]), scaled_weights=np.array([1.0, 1.0]), order=2
         )
-    with pytest.raises(ValueError):  # negative weight
-        hg.QuadratureRule(
-            nodes=np.array([-1.0, 1.0]), weights=np.array([1.0, -1.0]), order=2
-        )
+    for bad in (-1.0, 0.0, np.nan, np.inf):  # non-positive or non-finite weight
+        with pytest.raises(ValueError):
+            hg.QuadratureRule(
+                nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, bad]), order=2
+            )
     with pytest.raises(ValueError):  # order does not match node count
         hg.QuadratureRule(
-            nodes=np.array([-1.0, 1.0]), weights=np.array([1.0, 1.0]), order=3
+            nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, 1.0]), order=3
         )

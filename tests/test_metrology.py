@@ -227,6 +227,33 @@ def test_best_precision_equals_minimum_of_single_phase_calls():
             assert est.derivative == pytest.approx(at_phi.derivative, rel=1e-9, abs=1e-12)
 
 
+def test_error_propagation_never_beats_the_fisher_bound():
+    # delta-phi is at least 1/sqrt(QFI) at every grid phase, for the twin probe
+    # and (jz_squared propagates the interferometer's own signal) random states.
+    # For N = 2 twin input jz_squared is flat at 0.5; the one-pass variance
+    # <Jz^4> - <Jz^2>^2 cancelled near phi = pi/2 and gave 0.49999999999956.
+    rng = np.random.default_rng(5)
+    phis = np.linspace(0.0, np.pi, 183)[1:-1]
+    cases = [(n, None, ("jz", "jz_squared")) for n in range(2, 101, 2)]
+    cases += [(n, random_sector_state(rng, n), ("jz_squared",)) for n in range(2, 11)]
+    for n_total, state, estimators in cases:
+        bound = mt.quantum_fisher_information(n_total, state=state) ** -0.5
+        for estimator in estimators:
+            value, _, degenerate = mt._estimates(n_total, phis, estimator, state)
+            assert np.all(value >= bound * (1.0 - 1e-12))
+            assert np.array_equal(np.isinf(value), degenerate)
+    _, est = mt.best_precision(2, "jz_squared")
+    assert float(est) == pytest.approx(0.5, rel=1e-14, abs=0.0)
+
+
+def test_derivative_at_rounding_level_is_degenerate():
+    # At phi = pi/2 the twin probe's <Jz^2> signal is stationary; for N = 400
+    # its computed derivative is rounding noise above the absolute 1e-12 floor.
+    est = mt.phase_precision(400, np.pi / 2, "jz_squared")
+    assert est.degenerate
+    assert math.isinf(est)
+
+
 def test_sector_cost_guard_in_metrology():
     with pytest.raises(CostGuardError):
         mt.twin_state(1000)
