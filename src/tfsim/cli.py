@@ -32,7 +32,7 @@ import json
 import sys
 
 from . import fgbs, metrology, twophoton
-from ._text import emit
+from ._text import emit, write
 from .circuit import parse_circuit, run_circuit
 from .exceptions import (
     CostGuardError,
@@ -244,7 +244,7 @@ def main(argv=None):
     except OSError as exc:
         return _emit_error("error", str(exc), EXIT_ERROR)
     if args.out is None:
-        sys.stdout.write(text)
+        write(sys.stdout, text)
     return EXIT_OK
 
 

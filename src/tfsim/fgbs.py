@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, table_text
+from ._text import emit, floats, ints, table_text, texts
 from .exceptions import DEFAULT_MAX_COST, CostGuardError, InsufficientMassError, _check_cost
 from .gaussian import purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, hafnian_box
@@ -230,12 +230,17 @@ def sample(dist, shots, rng_seed, cutoff, max_cost=None):
 
 def samples_to_jsonl(samples, path=None):
     """Serialize samples as JSON lines {"pattern": [...], "shot": i}; also written to ``path``."""
-    rows = ((", ".join(map(str, map(int, p))), i) for i, p in enumerate(samples))
-    return emit(table_text("", '{"pattern": [%s], "shot": %d}\n', rows), path)
+    distinct = {}
+    codes = np.fromiter((distinct.setdefault(tuple(p), len(distinct)) for p in samples), np.intp)
+    patterns = texts((", ".join(map(str, map(int, p))) for p in distinct), codes)
+    row = ['{"pattern": [', patterns, '], "shot": ', ints(np.arange(codes.size)), "}\n"]
+    return emit(table_text("", row, codes.size), path)
 
 
 def probability_table_csv(dist, cutoff, path=None, max_cost=None):
     """Tabulate pattern probabilities as CSV (pattern entries ';'-joined)."""
     patterns, probs = _enumerate_probabilities(dist, cutoff, max_cost)
-    rows = zip((";".join(map(str, pat)) for pat in patterns), probs.tolist())
-    return emit(table_text("pattern,probability\n", "%s,%.17g\n", rows), path)
+    modes = np.array(patterns).reshape(len(patterns), dist.n_modes).T
+    row = [piece for mode in modes for piece in (";", ints(mode))][1:]
+    row += [",", floats(probs), "\n"]
+    return emit(table_text("pattern,probability\n", row, len(patterns)), path)

@@ -23,11 +23,11 @@ the vacuum peaks at 1/pi in both and integrates to one (d^2alpha = domega dt/2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 import numpy as np
 
-from ._text import emit, table_text
+from ._text import emit, floats, table_text
+from .exceptions import _check_cost
 
 __all__ = [
     "GaussianTFState",
@@ -323,16 +323,25 @@ def _gaussian_field(mean, cov, omega_axis, t_axis):
     norm = (2.0 * np.pi) * np.sqrt(np.linalg.det(cov))
     dw = omega_axis[:, None] - mean[0]
     dt = t_axis[None, :] - mean[1]
-    quad = inv[0, 0] * dw ** 2 + 2.0 * inv[0, 1] * dw * dt + inv[1, 1] * dt ** 2
-    return np.exp(-0.5 * quad) / norm
+    # Built in place so the grid costs one array; b + a rounds as a + b does.
+    values = 2.0 * inv[0, 1] * dw * dt
+    values += inv[0, 0] * dw ** 2
+    values += inv[1, 1] * dt ** 2
+    values *= -0.5
+    np.exp(values, out=values)
+    values /= norm
+    return values
 
 
 def wigner_eval(state, grid, mode=0):
     """Wigner function of one mode on a :class:`PhaseSpaceGrid`.
 
     Returns an array of shape (omega_count, t_count), indexed [i_omega, i_t];
-    the omega axis is shifted by ``grid.origin``.
+    the omega axis is shifted by ``grid.origin``. One grid cell is one unit of
+    the cost guard, charged before anything is allocated.
     """
+    cells = grid.omega_count * grid.t_count
+    _check_cost(cells, f"Wigner grid of {grid.omega_count}x{grid.t_count} cells")
     single = reduce_to_mode(state, mode)
     omega_axis = grid.omega_axis - grid.origin
     return _gaussian_field(single.mean, single.cov, omega_axis, grid.t_axis)
@@ -360,9 +369,10 @@ def husimi_eval(state, point, mode=None):
 def wigner_csv_text(state, grid, mode=0, path=None):
     """Wigner field as CSV ``omega,t,value`` rows, omega-major; also written to ``path``."""
     field = wigner_eval(state, grid, mode=mode)
-    t_axis = ["%.17g" % t for t in grid.t_axis.tolist()]
-    rows = chain.from_iterable(
-        zip(repeat("%.17g" % w, len(t_axis)), t_axis, values.tolist())
-        for w, values in zip(grid.omega_axis.tolist(), field)
-    )
-    return emit(table_text("omega,t,value\n", "%s,%s,%.17g\n", rows), path)
+    t_count = grid.t_count
+    row = [
+        floats(grid.omega_axis, lambda lo, hi: np.arange(lo, hi) // t_count), ",",
+        floats(grid.t_axis, lambda lo, hi: np.arange(lo, hi) % t_count), ",",
+        floats(field), "\n",
+    ]
+    return emit(table_text("omega,t,value\n", row, field.size), path)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, table_text
+from ._text import emit, floats, table_text, texts
 from .twophoton import _check_sector_cost, sector_matrix
 
 __all__ = [
@@ -201,20 +201,21 @@ def _signal(state, phis):
 
 
 def _rotated_jz_estimate(state, phis):
-    """Literal first-moment error propagation with the rotated-moment
-    expressions <Jz>(phi) = cos(phi) <Jz>_in - sin(phi) <Jx>_in."""
+    """First-moment error propagation on the interferometer's signal
+    <Jz>(phi) = -cos(phi) <Jz>_in + sin(phi) <Jy>_in, whose variance is
+    cos^2 Var Jz + sin^2 Var Jy - 2 sin cos Cov(Jy, Jz) in the input state."""
     ops = j_operators(state.n_total)
     chi = sector_vector(state)
     mean_z = _expect(ops.jz, chi)
-    mean_x = _expect(ops.jx, chi)
+    mean_y = _expect(ops.jy, chi)
     var_z = _expect(ops.jz @ ops.jz, chi) - mean_z**2
-    var_x = _expect(ops.jx @ ops.jx, chi) - mean_x**2
-    cov_xz = (
-        _expect(ops.jx @ ops.jz + ops.jz @ ops.jx, chi) / 2.0 - mean_x * mean_z
+    var_y = _expect(ops.jy @ ops.jy, chi) - mean_y**2
+    cov_yz = (
+        _expect(ops.jy @ ops.jz + ops.jz @ ops.jy, chi) / 2.0 - mean_y * mean_z
     )
     c, s = np.cos(phis), np.sin(phis)
-    derivative = -s * mean_z - c * mean_x
-    variance = c * c * var_z + s * s * var_x - 2.0 * s * c * cov_xz
+    derivative = s * mean_z + c * mean_y
+    variance = c * c * var_z + s * s * var_y - 2.0 * s * c * cov_yz
     return np.maximum(variance, 0.0), derivative, state.n_total / 2.0 * (np.abs(s) + np.abs(c))
 
 
@@ -321,8 +322,13 @@ def precision_sweep(n_values, estimator, phi=None):
 
 def sweep_csv_text(rows, path=None):
     """Sweep rows as CSV ``n_photons,phi,estimator,delta_phi``; also written to ``path``."""
-    text = table_text("n_photons,phi,estimator,delta_phi\n", "%s,%.17g,%s,%.17g\n", rows)
-    return emit(text, path)
+    rows = list(rows)
+    n_photons, phis, estimators, values = zip(*rows) if rows else ((),) * 4
+    row = [
+        texts(map(str, n_photons)), ",", floats(phis), ",",
+        texts(estimators), ",", floats(values), "\n",
+    ]
+    return emit(table_text("n_photons,phi,estimator,delta_phi\n", row, len(rows)), path)
 
 
 def heisenberg_slope(n_values=tuple(range(2, 21, 2)), estimator="fisher"):

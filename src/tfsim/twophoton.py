@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, table_text
+from ._text import emit, floats, ints, table_text
 from .exceptions import _check_cost
 from .hg import SpectralState, hermite_functions
 
@@ -228,9 +228,7 @@ def hom_output(n=1, sigma=1.0):
 
 def jsa_to_csv(jsa, path=None):
     """Coefficients as CSV ``n,m,re,im`` rows, n-major; also written to ``path``."""
-    rows = (
-        (n, m, c.real, c.imag)
-        for n, row in enumerate(jsa.coeffs.tolist())
-        for m, c in enumerate(row)
-    )
-    return emit(table_text("n,m,re,im\n", "%d,%d,%.17g,%.17g\n", rows), path)
+    coeffs = jsa.coeffs
+    n, m = np.indices(coeffs.shape)
+    row = [ints(n), ",", ints(m), ",", floats(coeffs.real), ",", floats(coeffs.imag), "\n"]
+    return emit(table_text("n,m,re,im\n", row, coeffs.size), path)

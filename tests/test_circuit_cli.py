@@ -542,6 +542,43 @@ def test_cli_wigner_grid_origin(tmp_path, capsys):
     assert values[("-0.5", "0")] < values[("0.5", "0")]
 
 
+def test_cli_wigner_out_file_matches_stdout(tmp_path, capsys):
+    # 101 x 103 rows span two chunks of the table writer.
+    path = write_circuit(tmp_path, MIXER_2)
+    args = ["wigner", "--circuit", path, "--mode", "1", "--grid=-3:4:101,-2.5:2.5:103,0.75"]
+    assert cli.main(args) == 0
+    stdout_text = capsys.readouterr().out
+    assert stdout_text.count("\n") == 1 + 101 * 103
+    target = tmp_path / "wigner.csv"
+    assert cli.main([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes().decode("utf-8") == stdout_text
+
+
+def test_cli_wigner_cost_guard_refuses_from_the_estimate(tmp_path, capsys, monkeypatch):
+    # One unit per grid cell: a 10^5 x 10^5 grid (about 80 GB of field) is refused
+    # before anything is evaluated or allocated.
+    def refuse(*args):
+        raise AssertionError("the estimate alone must refuse this grid")
+
+    monkeypatch.setattr(g, "_gaussian_field", refuse)
+    path = write_circuit(tmp_path, VACUUM_1)
+    assert cli.main(["wigner", "--circuit", path, "--grid=-1:1:100000,-1:1:100000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "cost-guard"
+    assert str(10**10) in err["error"]["message"]
+
+    monkeypatch.setenv("TFSIM_MAX_COST", "24")
+    assert cli.main(["wigner", "--circuit", path, "--grid=-2:2:5,-2:2:5"]) == 4
+    capsys.readouterr()
+    monkeypatch.undo()
+    monkeypatch.setenv("TFSIM_MAX_COST", "25")
+    assert cli.main(["wigner", "--circuit", path, "--grid=-2:2:5,-2:2:5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 26
+
+
 def test_cli_bad_grid_spec(tmp_path, capsys):
     path = write_circuit(tmp_path, VACUUM_1)
     assert cli.main(["wigner", "--circuit", path, "--grid=-2:2:5"]) == 1

@@ -227,15 +227,30 @@ def test_best_precision_equals_minimum_of_single_phase_calls():
             assert est.derivative == pytest.approx(at_phi.derivative, rel=1e-9, abs=1e-12)
 
 
+def test_jz_estimate_matches_the_output_distribution():
+    # The closed-form signal -cos(phi) Jz + sin(phi) Jy against the phi-derivative
+    # and variance of Jz in the interferometer's output distribution.
+    rng = np.random.default_rng(23)
+    phis = np.linspace(0.0, np.pi, 31)[1:-1]
+    for n_total in range(1, 12):
+        state = random_sector_state(rng, n_total)
+        p, dp = mt._signal(state, phis)[:2]
+        m = np.arange(n_total + 1) - n_total / 2.0
+        spread = ((m[:, None] - m @ p) ** 2 * p).sum(axis=0)
+        variance, derivative, _ = mt._rotated_jz_estimate(state, phis)
+        assert np.max(np.abs(derivative - m @ dp)) < 1e-12
+        assert np.max(np.abs(variance - spread)) < 1e-12
+
+
 def test_error_propagation_never_beats_the_fisher_bound():
     # delta-phi is at least 1/sqrt(QFI) at every grid phase, for the twin probe
-    # and (jz_squared propagates the interferometer's own signal) random states.
+    # and random states (both estimators propagate the interferometer's own signal).
     # For N = 2 twin input jz_squared is flat at 0.5; the one-pass variance
     # <Jz^4> - <Jz^2>^2 cancelled near phi = pi/2 and gave 0.49999999999956.
     rng = np.random.default_rng(5)
     phis = np.linspace(0.0, np.pi, 183)[1:-1]
     cases = [(n, None, ("jz", "jz_squared")) for n in range(2, 101, 2)]
-    cases += [(n, random_sector_state(rng, n), ("jz_squared",)) for n in range(2, 11)]
+    cases += [(n, random_sector_state(rng, n), ("jz", "jz_squared")) for n in range(2, 11)]
     for n_total, state, estimators in cases:
         bound = mt.quantum_fisher_information(n_total, state=state) ** -0.5
         for estimator in estimators:
