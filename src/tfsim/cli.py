@@ -76,6 +76,10 @@ def _parse_photons(text):
         lo, hi = int(lo_text), int(hi_text)
         if lo > hi:
             raise ValueError(f"empty photon range {text!r}")
+        # Both ends are checked before the range is built, so its length is bounded.
+        twophoton._check_sector_cost(hi)
+        if lo < 2:
+            raise ValueError(f"photon range {text!r} must start at 2 or above")
         return list(range(lo, hi + 1, 2))
     return [int(text)]
 

@@ -14,18 +14,13 @@ __all__ = [
 DEFAULT_MAX_COST = 1_000_000
 
 
-def _check_cost(cost, what, max_cost=None):
-    """Raise CostGuardError when ``what`` costs more units than the limit: ``max_cost``,
-    else TFSIM_MAX_COST (a non-negative decimal integer), else DEFAULT_MAX_COST."""
-    if max_cost is not None:
-        if int(max_cost) < 0:
-            raise ValueError(f"max_cost must be >= 0, got {max_cost}")
-        limit = int(max_cost)
-    else:
-        env = os.environ.get("TFSIM_MAX_COST") or str(DEFAULT_MAX_COST)
-        if not (env.isascii() and env.isdigit()):
-            raise ValueError(f"TFSIM_MAX_COST must be a non-negative decimal integer, got {env!r}")
-        limit = int(env)
+def _check_cost(cost, what):
+    """Raise CostGuardError when ``what`` costs more units than the limit: TFSIM_MAX_COST
+    (a non-negative decimal integer), else DEFAULT_MAX_COST."""
+    env = os.environ.get("TFSIM_MAX_COST") or str(DEFAULT_MAX_COST)
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"TFSIM_MAX_COST must be a non-negative decimal integer, got {env!r}")
+    limit = int(env)
     if cost > limit:
         raise CostGuardError(f"{what} costs {cost} > limit {limit}")
 

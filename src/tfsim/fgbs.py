@@ -18,9 +18,9 @@ nothing of hafnians: it reconstructs the pure-state frequency wavefunction
 from the covariance matrix and projects it onto the HG product basis by
 tensor-product Gauss-Hermite quadrature.
 
-Cost guards protect the hafnian evaluation and the sampler's pattern
-enumeration; the limit defaults to DEFAULT_MAX_COST cost units (one unit =
-one entry of the recurrence box) and can be overridden per call or through
+Cost guards protect the hafnian evaluation, the sampler's pattern
+enumeration and its draws; the limit defaults to DEFAULT_MAX_COST cost units
+(one unit = one entry of the recurrence box, or one shot) and is set through
 the TFSIM_MAX_COST environment variable (a non-negative decimal integer).
 """
 
@@ -122,14 +122,14 @@ def _box_diagonal(dist, modes, cutoffs):
     return values.real
 
 
-def probability(dist, pattern, max_cost=None):
+def probability(dist, pattern):
     """Exact probability of one detection pattern.
 
     Pure sources short-circuit odd total index to exactly 0; mixed Gaussian
     sources can populate odd totals and take the full hafnian path.
     """
     pattern = _check_pattern(pattern, dist.n_modes)
-    _check_cost(math.prod((v + 1) ** 2 for v in pattern), f"pattern {pattern}", max_cost)
+    _check_cost(math.prod((v + 1) ** 2 for v in pattern), f"pattern {pattern}")
     if dist.is_pure and sum(pattern) % 2:
         return 0.0
     active = [i for i, v in enumerate(pattern) if v]
@@ -187,11 +187,11 @@ def oracle_probability(state, pattern, rule_order=48):
     return float(np.abs(amp) ** 2)
 
 
-def _enumerate_probabilities(dist, cutoff, max_cost):
+def _enumerate_probabilities(dist, cutoff):
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     cost = (cutoff + 1) ** (2 * dist.n_modes)
-    _check_cost(cost, f"enumerating patterns up to cutoff {cutoff}", max_cost)
+    _check_cost(cost, f"enumerating patterns up to cutoff {cutoff}")
     patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
     probs = _box_diagonal(dist, range(dist.n_modes), [cutoff] * dist.n_modes)
     if dist.is_pure:
@@ -201,22 +201,24 @@ def _enumerate_probabilities(dist, cutoff, max_cost):
     return patterns, np.clip(probs, 0.0, None)
 
 
-def total_probability(dist, cutoff, max_cost=None):
+def total_probability(dist, cutoff):
     """Total mass of all patterns with every entry <= cutoff."""
-    _, probs = _enumerate_probabilities(dist, cutoff, max_cost)
+    _, probs = _enumerate_probabilities(dist, cutoff)
     return float(probs.sum())
 
 
-def sample(dist, shots, rng_seed, cutoff, max_cost=None):
+def sample(dist, shots, rng_seed, cutoff):
     """Draw detection patterns by exact enumeration and CDF inversion.
 
-    The truncation must capture at least MASS_REQUIREMENT of the
-    distribution, else :class:`InsufficientMassError` reports the achieved
-    mass. Identical seeds give identical sequences.
+    Each shot costs one unit against the guard, charged before anything is
+    enumerated or drawn. The truncation must capture at least MASS_REQUIREMENT
+    of the distribution, else :class:`InsufficientMassError` reports the
+    achieved mass. Identical seeds give identical sequences.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    patterns, probs = _enumerate_probabilities(dist, cutoff, max_cost)
+    _check_cost(shots, f"{shots} shots")
+    patterns, probs = _enumerate_probabilities(dist, cutoff)
     mass = float(probs.sum())
     if mass < MASS_REQUIREMENT:
         raise InsufficientMassError(mass, MASS_REQUIREMENT)
@@ -237,9 +239,9 @@ def samples_to_jsonl(samples, path=None):
     return emit(table_text("", row, codes.size), path)
 
 
-def probability_table_csv(dist, cutoff, path=None, max_cost=None):
+def probability_table_csv(dist, cutoff, path=None):
     """Tabulate pattern probabilities as CSV (pattern entries ';'-joined)."""
-    patterns, probs = _enumerate_probabilities(dist, cutoff, max_cost)
+    patterns, probs = _enumerate_probabilities(dist, cutoff)
     modes = np.array(patterns).reshape(len(patterns), dist.n_modes).T
     row = [piece for mode in modes for piece in (";", ints(mode))][1:]
     row += [",", floats(probs), "\n"]

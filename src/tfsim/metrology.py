@@ -1,11 +1,13 @@
 """Two-photon phase estimation with frequency beam splitters.
 
-The probe is a pair of photons carrying HG indices (n, m) with fixed total
-k = n + m = N; the interferometer is beam splitter -> index phase
-e^{i n phi} on arm a -> beam splitter, all inside the (N+1)-dimensional
-sector. The angular-momentum picture maps the two arms onto a spin
-j = N/2: J_z is half the index difference, J_x/J_y the exchange generators
-(built in :func:`j_operators` so that [J_x, J_y] = i J_z and cyclic).
+The probe is a :class:`~tfsim.twophoton.JointSpectralAmplitude` supported on
+one total-index sector k = n + m = N; the interferometer is the frequency
+beam splitter (:func:`~tfsim.twophoton.apply_fbs`) -> index phase
+e^{i n phi} on arm a -> beam splitter. Every estimator reads the N+1 sector
+amplitudes chi[n] = C[n, N-n]. The angular-momentum picture maps the two
+arms onto a spin j = N/2: J_z is half the index difference, J_x/J_y the
+exchange generators (built in :func:`j_operators` so that [J_x, J_y] = i J_z
+and cyclic).
 
 With the beam-splitter convention of :mod:`tfsim.twophoton` (the one fixed
 by the (|2,0> - |0,2>)/sqrt2 image of |1,1>), the Heisenberg-picture
@@ -27,21 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, floats, table_text, texts
-from .twophoton import _check_sector_cost, sector_matrix
+from ._text import emit, floats, ints, table_text, texts
+from .hg import SpectralState
+from .twophoton import (
+    JointSpectralAmplitude,
+    _check_sector_cost,
+    apply_fbs,
+    product_jsa,
+    sector_matrix,
+)
 
 __all__ = [
     "JOperators",
-    "TwoModeState",
-    "JzStatistics",
     "PrecisionEstimate",
     "j_operators",
     "twin_state",
-    "sector_vector",
-    "from_sector_vector",
     "interferometer",
-    "interferometer_unitary",
-    "jz_statistics",
     "phase_precision",
     "quantum_fisher_information",
     "best_precision",
@@ -50,6 +53,8 @@ __all__ = [
     "heisenberg_slope",
 ]
 
+LEAK_TOL = 1e-12
+NORM_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 ROUNDING_FACTOR = 16
 PROB_FLOOR = 1e-14
@@ -82,93 +87,39 @@ def j_operators(n_total):
     return JOperators(jx=jx, jy=jy, jz=jz, n_total=n_total)
 
 
-@dataclass(frozen=True)
-class TwoModeState:
-    """Two-photon state supported on a single total-index sector.
-
-    ``coeffs`` is a square matrix over HG index pairs (as a joint spectral
-    amplitude) whose support lies on n + m = ``n_total``; norm must be 1.
-    """
-
-    coeffs: np.ndarray
-    n_total: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError("coeffs must be a square matrix")
-        if coeffs.shape[0] < self.n_total + 1:
-            raise ValueError("matrix too small for the stated total index")
-        mask = np.add.outer(
-            np.arange(coeffs.shape[0]), np.arange(coeffs.shape[1])
-        ) != self.n_total
-        leak = float(np.max(np.abs(coeffs[mask]))) if mask.any() else 0.0
-        if leak > 1e-12:
-            raise ValueError(f"support leaks off the n+m={self.n_total} sector ({leak:.3e})")
-        norm = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm} is not 1")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-def sector_vector(state):
-    """Length-(N+1) amplitude vector chi[n] = C[n, N-n]."""
-    n = np.arange(state.n_total + 1)
-    return state.coeffs[n, state.n_total - n].copy()
-
-
-def from_sector_vector(chi, n_total):
-    """Build a TwoModeState from sector amplitudes (normalized input)."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (n_total + 1,):
-        raise ValueError("sector vector length must be n_total + 1")
-    coeffs = np.zeros((n_total + 1, n_total + 1), dtype=complex)
-    n = np.arange(n_total + 1)
-    coeffs[n, n_total - n] = chi
-    return TwoModeState(coeffs=coeffs, n_total=n_total)
-
-
 def twin_state(n_total):
-    """Both photons in mode N/2: amplitude 1 on (N/2, N/2)."""
+    """Both photons in HG mode N/2, one per arm: the input pair of hom_output(N/2)."""
     if n_total < 2 or n_total % 2:
         raise ValueError("total index must be an even integer >= 2")
     _check_sector_cost(n_total)
+    coeffs = np.zeros(n_total // 2 + 1, dtype=complex)
+    coeffs[-1] = 1.0
+    photon = SpectralState(coeffs=coeffs, sigma=1.0)
+    return product_jsa(photon, photon)
+
+
+def _sector(jsa):
+    """(N, chi) of a unit-norm JSA supported on the one sector n + m = N: chi[n] = C[n, N-n]."""
+    coeffs = jsa.coeffs
+    index = np.add.outer(np.arange(coeffs.shape[0]), np.arange(coeffs.shape[1]))
+    n_total = int(index.flat[np.argmax(np.abs(coeffs))])
+    leak = float(np.abs(coeffs[index != n_total]).max(initial=0.0))
+    if leak > LEAK_TOL:
+        raise ValueError(f"support leaks off the n+m={n_total} sector ({leak:.3e})")
+    norm = jsa.norm_squared
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {norm} is not 1")
+    n = np.arange(max(0, n_total - jsa.cutoff), min(n_total, jsa.cutoff) + 1)
     chi = np.zeros(n_total + 1, dtype=complex)
-    chi[n_total // 2] = 1.0
-    return from_sector_vector(chi, n_total)
+    chi[n] = coeffs[n, n_total - n]
+    return n_total, chi
 
 
-def interferometer_unitary(n_total, phi):
-    """Sector matrix of beam splitter -> e^{i n phi} on arm a -> beam splitter."""
-    b = sector_matrix(n_total).astype(complex)
-    phases = np.exp(1j * phi * np.arange(n_total + 1))
-    return b @ (phases[:, None] * b)
-
-
-def interferometer(state, phi):
-    """Run the state through the two-beam-splitter phase sequence."""
-    chi = sector_vector(state)
-    return from_sector_vector(interferometer_unitary(state.n_total, phi) @ chi, state.n_total)
-
-
-@dataclass(frozen=True)
-class JzStatistics:
-    """Distribution of the half-index-difference m = (n_a - n_b)/2."""
-
-    values: np.ndarray
-    probabilities: np.ndarray
-    mean: float
-    variance: float
-
-
-def jz_statistics(state):
-    """Mean, variance, and full distribution of J_z for a sector state."""
-    chi = sector_vector(state)
-    p = np.abs(chi) ** 2
-    m = np.arange(state.n_total + 1) - state.n_total / 2.0
-    mean = float(m @ p)
-    variance = float((m - mean) ** 2 @ p)
-    return JzStatistics(values=m, probabilities=p, mean=mean, variance=variance)
+def interferometer(jsa, phi):
+    """Run a pair through apply_fbs -> e^{i n phi} on arm a's index n -> apply_fbs."""
+    mid = apply_fbs(jsa)
+    phases = np.exp(1j * phi * np.arange(mid.cutoff + 1))
+    return apply_fbs(JointSpectralAmplitude(phases[:, None] * mid.coeffs, jsa.sigma))
 
 
 class PrecisionEstimate(float):
@@ -189,23 +140,23 @@ def _expect(op, chi):
     return float(np.real(chi.conj() @ (op @ chi)))
 
 
-def _signal(state, phis):
+def _signal(chi, phis):
     """Output probabilities, their analytic phi-derivatives and the amplitudes they come
     from, amp = B (e^{i phi n} o B chi) and damp = B (i n e^{i phi n} o B chi), a column per phi."""
-    b = sector_matrix(state.n_total)
-    n = np.arange(state.n_total + 1)
-    phased = np.exp(1j * np.outer(n, phis)) * (b @ sector_vector(state))[:, None]
+    b = sector_matrix(chi.size - 1)
+    n = np.arange(chi.size)
+    phased = np.exp(1j * np.outer(n, phis)) * (b @ chi)[:, None]
     amp = b @ phased
     damp = b @ (1j * n[:, None] * phased)
     return np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp), amp, damp
 
 
-def _rotated_jz_estimate(state, phis):
+def _rotated_jz_estimate(chi, phis):
     """First-moment error propagation on the interferometer's signal
     <Jz>(phi) = -cos(phi) <Jz>_in + sin(phi) <Jy>_in, whose variance is
     cos^2 Var Jz + sin^2 Var Jy - 2 sin cos Cov(Jy, Jz) in the input state."""
-    ops = j_operators(state.n_total)
-    chi = sector_vector(state)
+    n_total = chi.size - 1
+    ops = j_operators(n_total)
     mean_z = _expect(ops.jz, chi)
     mean_y = _expect(ops.jy, chi)
     var_z = _expect(ops.jz @ ops.jz, chi) - mean_z**2
@@ -216,20 +167,20 @@ def _rotated_jz_estimate(state, phis):
     c, s = np.cos(phis), np.sin(phis)
     derivative = s * mean_z + c * mean_y
     variance = c * c * var_z + s * s * var_y - 2.0 * s * c * cov_yz
-    return np.maximum(variance, 0.0), derivative, state.n_total / 2.0 * (np.abs(s) + np.abs(c))
+    return np.maximum(variance, 0.0), derivative, n_total / 2.0 * (np.abs(s) + np.abs(c))
 
 
-def _jz_squared_estimate(state, phis):
+def _jz_squared_estimate(chi, phis):
     """Error propagation on the second moment <Jz^2>(phi); the variance is taken
     about the mean, so it does not cancel where it is small."""
-    p, dp, amp, damp = _signal(state, phis)
-    m2 = (np.arange(state.n_total + 1) - state.n_total / 2.0) ** 2
+    p, dp, amp, damp = _signal(chi, phis)
+    m2 = (np.arange(chi.size) - (chi.size - 1) / 2.0) ** 2
     return ((m2[:, None] - m2 @ p) ** 2 * p).sum(axis=0), m2 @ dp, m2 @ np.abs(2.0 * amp * damp)
 
 
-def _fisher_information(state, phi):
+def _fisher_information(chi, phi):
     """Classical Fisher information at phi (a scalar or an array of phases)."""
-    p, dp = _signal(state, np.ravel(phi))[:2]
+    p, dp = _signal(chi, np.ravel(phi))[:2]
     ratio = np.divide(dp**2, p, out=np.zeros_like(p), where=p > PROB_FLOOR)
     return ratio.sum(axis=0).reshape(np.shape(phi))
 
@@ -243,18 +194,17 @@ def _estimates(n_total, phis, estimator, state):
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if state is None:
-        state = twin_state(n_total)
-    elif state.n_total != n_total:
+    sector_total, chi = _sector(twin_state(n_total) if state is None else state)
+    if sector_total != n_total:
         raise ValueError("state total index does not match n_total")
     if estimator == "fisher":
-        info = _fisher_information(state, phis)
+        info = _fisher_information(chi, phis)
         degenerate = info < DEGENERACY_TOL**2
         with np.errstate(divide="ignore"):
             value = np.where(degenerate, np.inf, info**-0.5)
         return value, np.where(degenerate, 0.0, info), degenerate
     estimate = _rotated_jz_estimate if estimator == "jz" else _jz_squared_estimate
-    variance, derivative, scale = estimate(state, phis)
+    variance, derivative, scale = estimate(chi, phis)
     noise = ROUNDING_FACTOR * (n_total + 1) * np.finfo(float).eps * scale
     degenerate = np.abs(derivative) < np.maximum(DEGENERACY_TOL, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -268,8 +218,9 @@ def phase_precision(n_total, phi, estimator, state=None):
     ``estimator`` is one of 'jz' (first-moment error propagation with the
     rotated-moment signal), 'jz_squared' (second-moment error propagation),
     or 'fisher' (inverse root of the classical Fisher information of the
-    full index-difference distribution). The probe defaults to the twin
-    state |N/2, N/2>. Degenerate estimators (vanishing signal derivative)
+    full index-difference distribution). The probe ``state`` is a unit-norm
+    JointSpectralAmplitude on the sector n + m = ``n_total`` and defaults to
+    the twin state |N/2, N/2>. Degenerate estimators (vanishing signal derivative)
     return inf with the ``degenerate`` flag set.
     """
     if not 0.0 < phi < np.pi:
@@ -285,11 +236,9 @@ def quantum_fisher_information(n_total, state=None):
     quantum Fisher information is four times the index variance of B chi;
     for twin input it equals N(N+2)/2.
     """
-    if state is None:
-        state = twin_state(n_total)
-    chi = sector_matrix(state.n_total).astype(complex) @ sector_vector(state)
-    n = np.arange(state.n_total + 1)
-    p = np.abs(chi) ** 2
+    n_total, chi = _sector(twin_state(n_total) if state is None else state)
+    p = np.abs(sector_matrix(n_total).astype(complex) @ chi) ** 2
+    n = np.arange(n_total + 1)
     mean = float(n @ p)
     return 4.0 * (float(n**2 @ p) - mean**2)
 
@@ -325,7 +274,7 @@ def sweep_csv_text(rows, path=None):
     rows = list(rows)
     n_photons, phis, estimators, values = zip(*rows) if rows else ((),) * 4
     row = [
-        texts(map(str, n_photons)), ",", floats(phis), ",",
+        ints(n_photons), ",", floats(phis), ",",
         texts(estimators), ",", floats(values), "\n",
     ]
     return emit(table_text("n_photons,phi,estimator,delta_phi\n", row, len(rows)), path)

@@ -193,9 +193,9 @@ def test_criterion_6_phase_precision_scaling():
     # fall outside the bound the twin probe meets.
     lopsided = []
     for n in window:
-        chi = np.zeros(n + 1, dtype=complex)
-        chi[n] = 1.0
-        _, best = mt.best_precision(n, "fisher", state=mt.from_sector_vector(chi, n))
+        coeffs = np.zeros((n + 1, n + 1), dtype=complex)
+        coeffs[n, 0] = 1.0
+        _, best = mt.best_precision(n, "fisher", state=tp.JointSpectralAmplitude(coeffs))
         lopsided.append(float(best))
     control = float(np.polyfit(np.log(window), np.log(lopsided), 1)[0])
     if -1.1 <= control <= -0.9:

@@ -369,6 +369,38 @@ def test_cli_sector_cost_guard_exit_code(capsys):
         assert err["error"]["exit_code"] == 4
 
 
+def test_cli_photon_range_is_guarded_before_it_is_built(capsys):
+    # The top of the range is charged first: a list of 5e11 photon numbers is never built.
+    assert cli.main(["metrology", "--photons", "2..1000000000000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "cost-guard"
+    assert err["error"]["exit_code"] == 4
+    assert "sector k=1000000000000" in err["error"]["message"]
+    # A range below 2 holds no valid photon number; it is refused before it is built.
+    assert cli.main(["metrology", "--photons=-1000000000000..2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must start at 2" in json.loads(captured.err)["error"]["message"]
+
+
+def test_cli_fgbs_sample_shots_refused_from_the_estimate(tmp_path, capsys, monkeypatch):
+    # One unit per shot, charged before any pattern is enumerated or drawn.
+    def refuse(*args):
+        raise AssertionError("the estimate alone must refuse this many shots")
+
+    monkeypatch.setattr(fgbs, "_enumerate_probabilities", refuse)
+    path = write_circuit(tmp_path, VACUUM_1)
+    argv = ["fgbs", "sample", "--circuit", path, "--shots", "1000000000000"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "cost-guard"
+    assert "1000000000000 shots" in err["error"]["message"]
+
+
 def test_cli_unknown_gate_exit_code(tmp_path, capsys):
     doc = json.loads(json.dumps(MIXER_2))
     doc["ops"][0]["gate"] = "beamsplitter"

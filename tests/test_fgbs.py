@@ -252,16 +252,13 @@ def test_pattern_validation():
 
 
 def test_pattern_cost_guard_parameter_and_env(monkeypatch):
+    # Pattern (2, 2) fills a 3^4 = 81-entry box.
     dist = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
-    assert fgbs.probability(dist, (2, 2), max_cost=81) >= 0.0
-    with pytest.raises(CostGuardError):
-        fgbs.probability(dist, (2, 2), max_cost=80)
-
+    monkeypatch.setenv("TFSIM_MAX_COST", "81")
+    assert fgbs.probability(dist, (2, 2)) >= 0.0
     monkeypatch.setenv("TFSIM_MAX_COST", "80")
     with pytest.raises(CostGuardError):
         fgbs.probability(dist, (2, 2))
-    # An explicit argument overrides the environment.
-    assert fgbs.probability(dist, (2, 2), max_cost=81) >= 0.0
 
     monkeypatch.setenv("TFSIM_MAX_COST", "10")
     with pytest.raises(CostGuardError):
@@ -270,11 +267,11 @@ def test_pattern_cost_guard_parameter_and_env(monkeypatch):
 
 def test_cost_limit_rejects_negative_and_malformed_values(monkeypatch):
     dist = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
-    with pytest.raises(ValueError, match="max_cost"):
-        fgbs.probability(dist, (0, 0), max_cost=-1)
-    assert fgbs.probability(dist, (0, 0), max_cost=1) == dist.prefactor
+    monkeypatch.setenv("TFSIM_MAX_COST", "1")
+    assert fgbs.probability(dist, (0, 0)) == dist.prefactor
+    monkeypatch.setenv("TFSIM_MAX_COST", "0")
     with pytest.raises(CostGuardError):
-        fgbs.probability(dist, (0, 0), max_cost=0)
+        fgbs.probability(dist, (0, 0))
     for value in ("abc", "1e9", "-5", " 7"):
         monkeypatch.setenv("TFSIM_MAX_COST", value)
         with pytest.raises(ValueError, match="TFSIM_MAX_COST"):
@@ -390,7 +387,7 @@ def test_table_equals_per_pattern_probabilities_bit_for_bit():
             state = g.GaussianTFState(state.mean, state.cov + 0.1 * np.eye(2 * n))
         dist = fgbs.build_distribution(state)
         cutoff = int(rng.integers(2, {1: 14, 2: 8, 3: 5}[n]))
-        patterns, probs = fgbs._enumerate_probabilities(dist, cutoff, None)
+        patterns, probs = fgbs._enumerate_probabilities(dist, cutoff)
         for pattern, value in zip(patterns, probs.tolist()):
             assert max(fgbs.probability(dist, pattern), 0.0) == value, (trial, pattern)
 

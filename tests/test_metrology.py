@@ -7,12 +7,39 @@ import pytest
 
 from tfsim import metrology as mt
 from tfsim.exceptions import CostGuardError
+from tfsim.twophoton import JointSpectralAmplitude, apply_fbs, hom_output, mode_marginal
+
+
+def sector_state(chi):
+    """Antidiagonal pair C[n, N-n] = chi[n] on the sector n + m = N = len(chi) - 1."""
+    n_total = len(chi) - 1
+    coeffs = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+    n = np.arange(n_total + 1)
+    coeffs[n, n_total - n] = chi
+    return JointSpectralAmplitude(coeffs)
+
+
+def random_chi(rng, n_total):
+    chi = rng.standard_normal(n_total + 1) + 1j * rng.standard_normal(n_total + 1)
+    return chi / np.linalg.norm(chi)
 
 
 def random_sector_state(rng, n_total):
-    chi = rng.standard_normal(n_total + 1) + 1j * rng.standard_normal(n_total + 1)
-    chi /= np.linalg.norm(chi)
-    return mt.from_sector_vector(chi, n_total)
+    return sector_state(random_chi(rng, n_total))
+
+
+def sector_amplitudes(jsa, n_total):
+    n = np.arange(n_total + 1)
+    return jsa.coeffs[n, n_total - n]
+
+
+def interferometer_matrix(n_total, phi):
+    """U of the interferometer on the sector, one column per basis probe."""
+    columns = [
+        sector_amplitudes(mt.interferometer(sector_state(e), phi), n_total)
+        for e in np.eye(n_total + 1)
+    ]
+    return np.stack(columns, axis=1)
 
 
 def commutator(a, b):
@@ -35,12 +62,13 @@ def test_j_operators_su2_algebra():
 
 def test_twin_state_structure():
     state = mt.twin_state(4)
-    chi = mt.sector_vector(state)
-    assert chi[2] == 1.0
-    assert np.count_nonzero(chi) == 1
-    stats = mt.jz_statistics(state)
-    assert stats.mean == 0.0
-    assert stats.variance == 0.0
+    assert state.coeffs[2, 2] == 1.0
+    assert np.count_nonzero(state.coeffs) == 1
+    n_total, chi = mt._sector(state)
+    assert n_total == 4
+    assert np.array_equal(chi, [0, 0, 1, 0, 0])
+    # Both arms hold index 2: J_z = (n_a - n_b)/2 is 0 with certainty.
+    assert np.array_equal(mode_marginal(state, "a"), [0, 0, 1])
     with pytest.raises(ValueError):
         mt.twin_state(3)
     with pytest.raises(ValueError):
@@ -50,26 +78,25 @@ def test_twin_state_structure():
 def test_two_mode_state_validation():
     good = np.zeros((3, 3), dtype=complex)
     good[1, 1] = 1.0
-    mt.TwoModeState(coeffs=good, n_total=2)
+    assert float(mt.phase_precision(2, 1.0, "fisher", state=JointSpectralAmplitude(good))) == (
+        pytest.approx(0.5, rel=1e-10)
+    )
 
     leaky = good.copy()
     leaky[0, 0] = 1e-6
-    with pytest.raises(ValueError):
-        mt.TwoModeState(coeffs=leaky, n_total=2)
+    with pytest.raises(ValueError, match="leaks"):
+        mt.phase_precision(2, 1.0, "fisher", state=JointSpectralAmplitude(leaky))
+    with pytest.raises(ValueError, match="norm"):
+        mt.phase_precision(2, 1.0, "fisher", state=JointSpectralAmplitude(0.5 * good))
+    with pytest.raises(ValueError, match="norm"):
+        mt.phase_precision(2, 1.0, "fisher", state=JointSpectralAmplitude(np.zeros((3, 3))))
 
-    with pytest.raises(ValueError):
-        mt.TwoModeState(coeffs=0.5 * good, n_total=2)  # norm != 1
-    with pytest.raises(ValueError):
-        mt.TwoModeState(coeffs=good, n_total=4)  # matrix too small
 
-
-def test_sector_vector_round_trip():
-    rng = np.random.default_rng(3)
-    state = random_sector_state(rng, 5)
-    rebuilt = mt.from_sector_vector(mt.sector_vector(state), 5)
-    assert np.max(np.abs(rebuilt.coeffs - state.coeffs)) == 0.0
-    with pytest.raises(ValueError):
-        mt.from_sector_vector(np.ones(3) / math.sqrt(3.0), 4)
+def test_twin_state_beam_splitter_output_is_hom_output():
+    # The twin probe of total index 2n is exactly the input pair of hom_output(n).
+    for n in range(1, 60):
+        expected = hom_output(n).coeffs
+        assert np.array_equal(apply_fbs(mt.twin_state(2 * n)).coeffs, expected)
 
 
 def test_interferometer_unitary_is_unitary():
@@ -77,7 +104,7 @@ def test_interferometer_unitary_is_unitary():
     for _ in range(20):
         n_total = int(rng.integers(1, 9))
         phi = float(rng.uniform(0.0, 2 * np.pi))
-        u = mt.interferometer_unitary(n_total, phi)
+        u = interferometer_matrix(n_total, phi)
         eye = np.eye(n_total + 1)
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-12
 
@@ -96,7 +123,7 @@ def test_jz_conjugation_is_an_axis_rotation():
     for n_total in (2, 4, 6):
         ops = mt.j_operators(n_total)
         for phi in (0.3, 1.1, 2.5):
-            u = mt.interferometer_unitary(n_total, phi)
+            u = interferometer_matrix(n_total, phi)
             rotated = u.conj().T @ ops.jz @ u
             expected = -math.cos(phi) * ops.jz + math.sin(phi) * ops.jy
             assert np.max(np.abs(rotated - expected)) < 1e-10
@@ -111,14 +138,16 @@ def test_twin_coincidence_probability_is_cos_squared():
 
 
 def test_jz_statistics_distribution():
+    # J_z = n_a - N/2 takes the values -1, 0, 1 with the arm-a marginal's weights.
     out = mt.interferometer(mt.twin_state(2), math.pi / 2.0)
-    stats = mt.jz_statistics(out)
-    assert np.allclose(stats.values, [-1.0, 0.0, 1.0])
-    assert stats.probabilities[1] == pytest.approx(0.0, abs=1e-12)
-    assert stats.probabilities[0] == pytest.approx(0.5, abs=1e-12)
-    assert stats.probabilities[2] == pytest.approx(0.5, abs=1e-12)
-    assert stats.mean == pytest.approx(0.0, abs=1e-12)
-    assert stats.variance == pytest.approx(1.0, abs=1e-12)
+    values = np.arange(3) - 1.0
+    probabilities = mode_marginal(out, "a")
+    assert probabilities[1] == pytest.approx(0.0, abs=1e-12)
+    assert probabilities[0] == pytest.approx(0.5, abs=1e-12)
+    assert probabilities[2] == pytest.approx(0.5, abs=1e-12)
+    mean = values @ probabilities
+    assert mean == pytest.approx(0.0, abs=1e-12)
+    assert (values - mean) ** 2 @ probabilities == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jz_estimator_is_degenerate_for_twin_input():
@@ -131,9 +160,7 @@ def test_jz_estimator_is_degenerate_for_twin_input():
 
 def test_jz_estimator_works_off_twin_input():
     # A lopsided probe has first moments, so the rotated-moment signal moves.
-    chi = np.zeros(3, dtype=complex)
-    chi[2] = 1.0  # both index quanta in arm a
-    state = mt.from_sector_vector(chi, 2)
+    state = sector_state([0.0, 0.0, 1.0])  # both index quanta in arm a
     est = mt.phase_precision(2, 1.0, "jz", state=state)
     assert not est.degenerate
     assert np.isfinite(est)
@@ -147,7 +174,7 @@ def test_jz_squared_derivative_matches_finite_difference():
 
     def mean_m2(phi):
         out = mt.interferometer(state, phi)
-        return float(m2 @ np.abs(mt.sector_vector(out)) ** 2)
+        return float(m2 @ mode_marginal(out, "a"))
 
     for phi in (0.4, 1.0, 2.2):
         est = mt.phase_precision(4, phi, "jz_squared")
@@ -160,8 +187,7 @@ def test_fisher_matches_finite_difference_probabilities():
     state = mt.twin_state(6)
 
     def probs(phi):
-        out = mt.interferometer(state, phi)
-        return np.abs(mt.sector_vector(out)) ** 2
+        return mode_marginal(mt.interferometer(state, phi), "a")
 
     phi = 0.8
     h = 1e-6
@@ -233,11 +259,11 @@ def test_jz_estimate_matches_the_output_distribution():
     rng = np.random.default_rng(23)
     phis = np.linspace(0.0, np.pi, 31)[1:-1]
     for n_total in range(1, 12):
-        state = random_sector_state(rng, n_total)
-        p, dp = mt._signal(state, phis)[:2]
+        chi = random_chi(rng, n_total)
+        p, dp = mt._signal(chi, phis)[:2]
         m = np.arange(n_total + 1) - n_total / 2.0
         spread = ((m[:, None] - m @ p) ** 2 * p).sum(axis=0)
-        variance, derivative, _ = mt._rotated_jz_estimate(state, phis)
+        variance, derivative, _ = mt._rotated_jz_estimate(chi, phis)
         assert np.max(np.abs(derivative - m @ dp)) < 1e-12
         assert np.max(np.abs(variance - spread)) < 1e-12
 
@@ -279,10 +305,10 @@ def test_sector_cost_guard_in_metrology():
 def test_fisher_periodicity_in_pi():
     # The twin-input Fisher information has period pi (internal function, so
     # points outside the public (0, pi) domain can be probed directly).
-    state = mt.twin_state(4)
+    _, chi = mt._sector(mt.twin_state(4))
     for phi in (0.4, 1.2, 2.0):
-        f1 = mt._fisher_information(state, phi)
-        f2 = mt._fisher_information(state, phi + np.pi)
+        f1 = mt._fisher_information(chi, phi)
+        f2 = mt._fisher_information(chi, phi + np.pi)
         assert f1 == pytest.approx(f2, rel=1e-10)
         assert f1 >= 0.0
 
