@@ -87,7 +87,7 @@ def _number(value, location, positive=False):
     return value
 
 
-def _parse_input(entry, mode, modes):
+def _parse_input(entry, mode):
     location = f"$.inputs[{mode}]"
     if not isinstance(entry, dict):
         raise SchemaError("expected an object", location=location)
@@ -159,7 +159,7 @@ def parse_circuit(text):
     inputs = doc["inputs"]
     if not isinstance(inputs, list) or len(inputs) != modes:
         raise SchemaError(f"inputs must list exactly {modes} entries", location="$.inputs")
-    widths = tuple(_parse_input(entry, i, modes) for i, entry in enumerate(inputs))
+    widths = tuple(_parse_input(entry, i) for i, entry in enumerate(inputs))
     ops_doc = doc["ops"]
     if not isinstance(ops_doc, list):
         raise SchemaError("ops must be a list", location="$.ops")

@@ -97,10 +97,6 @@ class GaussianTFState:
     def n_modes(self):
         return self.mean.size // 2
 
-    @property
-    def modes(self):
-        return self.n_modes
-
 
 def vacuum_state(n_modes):
     """N unit-width Gaussian photons: mean 0, covariance I/2."""

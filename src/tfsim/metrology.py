@@ -15,12 +15,12 @@ conjugation of J_z through the full interferometer is
 
     U(phi)^dagger Jz U(phi) = -cos(phi) Jz + sin(phi) Jy,
 
-a pure rotation of the measurement axis (the test-suite asserts this matrix
-identity). Three phase-precision estimators are provided: error propagation
-on the rotated first moment of J_z (degenerate for twin inputs, where every
-first moment vanishes), error propagation on <Jz^2>, and the Cramer-Rao
-bound from the classical Fisher information of the index-difference
-distribution, computed with analytic phi-derivatives.
+a pure rotation of the measurement axis (the tests assert this identity and
+check the first-moment estimator against it). All three phase-precision
+estimators read the output index distribution p_n(phi) and its analytic
+phi-derivative: error propagation on <Jz> (degenerate for twin inputs, where
+it stays 0) and on <Jz^2>, and the Cramer-Rao bound from its classical Fisher
+information.
 """
 
 from __future__ import annotations
@@ -98,21 +98,25 @@ def twin_state(n_total):
     return product_jsa(photon, photon)
 
 
-def _sector(jsa):
-    """(N, chi) of a unit-norm JSA supported on the one sector n + m = N: chi[n] = C[n, N-n]."""
+def _probe(n_total, state):
+    """chi[n] = C[n, N-n] of a probe (the twin state when None), checked to be a unit-norm
+    JSA supported on the one sector n + m = N, and N to equal n_total."""
+    jsa = twin_state(n_total) if state is None else state
     coeffs = jsa.coeffs
     index = np.add.outer(np.arange(coeffs.shape[0]), np.arange(coeffs.shape[1]))
-    n_total = int(index.flat[np.argmax(np.abs(coeffs))])
-    leak = float(np.abs(coeffs[index != n_total]).max(initial=0.0))
+    sector = int(index.flat[np.argmax(np.abs(coeffs))])
+    leak = float(np.abs(coeffs[index != sector]).max(initial=0.0))
     if leak > LEAK_TOL:
-        raise ValueError(f"support leaks off the n+m={n_total} sector ({leak:.3e})")
+        raise ValueError(f"support leaks off the n+m={sector} sector ({leak:.3e})")
     norm = jsa.norm_squared
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm} is not 1")
+    if sector != n_total:
+        raise ValueError("state total index does not match n_total")
     n = np.arange(max(0, n_total - jsa.cutoff), min(n_total, jsa.cutoff) + 1)
     chi = np.zeros(n_total + 1, dtype=complex)
     chi[n] = coeffs[n, n_total - n]
-    return n_total, chi
+    return chi
 
 
 def interferometer(jsa, phi):
@@ -136,10 +140,6 @@ class PrecisionEstimate(float):
         return obj
 
 
-def _expect(op, chi):
-    return float(np.real(chi.conj() @ (op @ chi)))
-
-
 def _signal(chi, phis):
     """Output probabilities, their analytic phi-derivatives and the amplitudes they come
     from, amp = B (e^{i phi n} o B chi) and damp = B (i n e^{i phi n} o B chi), a column per phi."""
@@ -151,60 +151,39 @@ def _signal(chi, phis):
     return np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp), amp, damp
 
 
-def _rotated_jz_estimate(chi, phis):
-    """First-moment error propagation on the interferometer's signal
-    <Jz>(phi) = -cos(phi) <Jz>_in + sin(phi) <Jy>_in, whose variance is
-    cos^2 Var Jz + sin^2 Var Jy - 2 sin cos Cov(Jy, Jz) in the input state."""
-    n_total = chi.size - 1
-    ops = j_operators(n_total)
-    mean_z = _expect(ops.jz, chi)
-    mean_y = _expect(ops.jy, chi)
-    var_z = _expect(ops.jz @ ops.jz, chi) - mean_z**2
-    var_y = _expect(ops.jy @ ops.jy, chi) - mean_y**2
-    cov_yz = (
-        _expect(ops.jy @ ops.jz + ops.jz @ ops.jy, chi) / 2.0 - mean_y * mean_z
-    )
-    c, s = np.cos(phis), np.sin(phis)
-    derivative = s * mean_z + c * mean_y
-    variance = c * c * var_z + s * s * var_y - 2.0 * s * c * cov_yz
-    return np.maximum(variance, 0.0), derivative, n_total / 2.0 * (np.abs(s) + np.abs(c))
-
-
-def _jz_squared_estimate(chi, phis):
-    """Error propagation on the second moment <Jz^2>(phi); the variance is taken
-    about the mean, so it does not cancel where it is small."""
+def _moment_estimate(chi, phis, observable):
+    """Error propagation on <O>(phi) for O diagonal in arm a's index n: the variance of O
+    about its mean, the derivative O . dp and its rounding scale |O| . |2 amp damp|."""
     p, dp, amp, damp = _signal(chi, phis)
-    m2 = (np.arange(chi.size) - (chi.size - 1) / 2.0) ** 2
-    return ((m2[:, None] - m2 @ p) ** 2 * p).sum(axis=0), m2 @ dp, m2 @ np.abs(2.0 * amp * damp)
+    variance = ((observable[:, None] - observable @ p) ** 2 * p).sum(axis=0)
+    return variance, observable @ dp, np.abs(observable) @ np.abs(2.0 * amp * damp)
 
 
-def _fisher_information(chi, phi):
-    """Classical Fisher information at phi (a scalar or an array of phases)."""
-    p, dp = _signal(chi, np.ravel(phi))[:2]
+def _fisher_information(chi, phis):
+    """Classical Fisher information at each of an array of phases."""
+    p, dp = _signal(chi, phis)[:2]
     ratio = np.divide(dp**2, p, out=np.zeros_like(p), where=p > PROB_FLOOR)
-    return ratio.sum(axis=0).reshape(np.shape(phi))
+    return ratio.sum(axis=0)
 
 
 def _estimates(n_total, phis, estimator, state):
     """delta-phi, signal derivative and degeneracy flag at every phi, as arrays.
 
     Degenerate points get inf: a vanishing signal, or a derivative within ROUNDING_FACTOR
-    of its rounding error (N+1) eps scale, with the scale each estimator returns.
+    of its rounding error (N+1) eps scale, with the scale _moment_estimate returns.
     For 'fisher' the derivative slot carries the Fisher information, or 0 when it vanishes.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    sector_total, chi = _sector(twin_state(n_total) if state is None else state)
-    if sector_total != n_total:
-        raise ValueError("state total index does not match n_total")
+    chi = _probe(n_total, state)
     if estimator == "fisher":
         info = _fisher_information(chi, phis)
         degenerate = info < DEGENERACY_TOL**2
         with np.errstate(divide="ignore"):
             value = np.where(degenerate, np.inf, info**-0.5)
         return value, np.where(degenerate, 0.0, info), degenerate
-    estimate = _rotated_jz_estimate if estimator == "jz" else _jz_squared_estimate
-    variance, derivative, scale = estimate(chi, phis)
+    m = np.arange(n_total + 1) - n_total / 2.0
+    variance, derivative, scale = _moment_estimate(chi, phis, m if estimator == "jz" else m * m)
     noise = ROUNDING_FACTOR * (n_total + 1) * np.finfo(float).eps * scale
     degenerate = np.abs(derivative) < np.maximum(DEGENERACY_TOL, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -215,13 +194,12 @@ def _estimates(n_total, phis, estimator, state):
 def phase_precision(n_total, phi, estimator, state=None):
     """Phase uncertainty delta-phi of one estimator at operating point phi.
 
-    ``estimator`` is one of 'jz' (first-moment error propagation with the
-    rotated-moment signal), 'jz_squared' (second-moment error propagation),
-    or 'fisher' (inverse root of the classical Fisher information of the
-    full index-difference distribution). The probe ``state`` is a unit-norm
-    JointSpectralAmplitude on the sector n + m = ``n_total`` and defaults to
-    the twin state |N/2, N/2>. Degenerate estimators (vanishing signal derivative)
-    return inf with the ``degenerate`` flag set.
+    ``estimator`` is one of 'jz' and 'jz_squared' (error propagation on the
+    first and second moments of the output index distribution) or 'fisher'
+    (inverse root of its classical Fisher information). The probe ``state``
+    is a unit-norm JointSpectralAmplitude on the sector n + m = ``n_total``
+    and defaults to the twin state |N/2, N/2>. Degenerate estimators
+    (vanishing signal derivative) return inf with the ``degenerate`` flag set.
     """
     if not 0.0 < phi < np.pi:
         raise ValueError("phi must lie in the open interval (0, pi)")
@@ -236,8 +214,8 @@ def quantum_fisher_information(n_total, state=None):
     quantum Fisher information is four times the index variance of B chi;
     for twin input it equals N(N+2)/2.
     """
-    n_total, chi = _sector(twin_state(n_total) if state is None else state)
-    p = np.abs(sector_matrix(n_total).astype(complex) @ chi) ** 2
+    chi = _probe(n_total, state)
+    p = np.abs(sector_matrix(n_total) @ chi) ** 2
     n = np.arange(n_total + 1)
     mean = float(n @ p)
     return 4.0 * (float(n**2 @ p) - mean**2)

@@ -64,9 +64,7 @@ def test_twin_state_structure():
     state = mt.twin_state(4)
     assert state.coeffs[2, 2] == 1.0
     assert np.count_nonzero(state.coeffs) == 1
-    n_total, chi = mt._sector(state)
-    assert n_total == 4
-    assert np.array_equal(chi, [0, 0, 1, 0, 0])
+    assert np.array_equal(mt._probe(4, state), [0, 0, 1, 0, 0])
     # Both arms hold index 2: J_z = (n_a - n_b)/2 is 0 with certainty.
     assert np.array_equal(mode_marginal(state, "a"), [0, 0, 1])
     with pytest.raises(ValueError):
@@ -254,18 +252,29 @@ def test_best_precision_equals_minimum_of_single_phase_calls():
 
 
 def test_jz_estimate_matches_the_output_distribution():
-    # The closed-form signal -cos(phi) Jz + sin(phi) Jy against the phi-derivative
-    # and variance of Jz in the interferometer's output distribution.
+    # The output-distribution estimate against the Heisenberg-picture signal
+    # -cos(phi) <Jz> + sin(phi) <Jy>, built from the input state's J moments.
     rng = np.random.default_rng(23)
     phis = np.linspace(0.0, np.pi, 31)[1:-1]
+    c, s = np.cos(phis), np.sin(phis)
     for n_total in range(1, 12):
-        chi = random_chi(rng, n_total)
-        p, dp = mt._signal(chi, phis)[:2]
-        m = np.arange(n_total + 1) - n_total / 2.0
-        spread = ((m[:, None] - m @ p) ** 2 * p).sum(axis=0)
-        variance, derivative, _ = mt._rotated_jz_estimate(chi, phis)
-        assert np.max(np.abs(derivative - m @ dp)) < 1e-12
-        assert np.max(np.abs(variance - spread)) < 1e-12
+        state = random_sector_state(rng, n_total)
+        chi = sector_amplitudes(state, n_total)
+        ops = mt.j_operators(n_total)
+
+        def expect(op):
+            return float(np.real(chi.conj() @ op @ chi))
+
+        mean_z, mean_y = expect(ops.jz), expect(ops.jy)
+        var_z = expect(ops.jz @ ops.jz) - mean_z**2
+        var_y = expect(ops.jy @ ops.jy) - mean_y**2
+        cov_yz = expect(ops.jy @ ops.jz + ops.jz @ ops.jy) / 2.0 - mean_y * mean_z
+        derivative = s * mean_z + c * mean_y
+        variance = c * c * var_z + s * s * var_y - 2.0 * s * c * cov_yz
+        value, estimated, degenerate = mt._estimates(n_total, phis, "jz", state)
+        assert not degenerate.any()
+        assert np.max(np.abs(estimated - derivative)) < 1e-12
+        assert np.max(np.abs((value * estimated) ** 2 - variance)) < 1e-12
 
 
 def test_error_propagation_never_beats_the_fisher_bound():
@@ -283,6 +292,8 @@ def test_error_propagation_never_beats_the_fisher_bound():
             value, _, degenerate = mt._estimates(n_total, phis, estimator, state)
             assert np.all(value >= bound * (1.0 - 1e-12))
             assert np.array_equal(np.isinf(value), degenerate)
+            if state is None and estimator == "jz":
+                assert degenerate.all()
     _, est = mt.best_precision(2, "jz_squared")
     assert float(est) == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
@@ -305,12 +316,12 @@ def test_sector_cost_guard_in_metrology():
 def test_fisher_periodicity_in_pi():
     # The twin-input Fisher information has period pi (internal function, so
     # points outside the public (0, pi) domain can be probed directly).
-    _, chi = mt._sector(mt.twin_state(4))
-    for phi in (0.4, 1.2, 2.0):
-        f1 = mt._fisher_information(chi, phi)
-        f2 = mt._fisher_information(chi, phi + np.pi)
-        assert f1 == pytest.approx(f2, rel=1e-10)
-        assert f1 >= 0.0
+    chi = mt._probe(4, None)
+    phis = np.array([0.4, 1.2, 2.0])
+    f1 = mt._fisher_information(chi, phis)
+    f2 = mt._fisher_information(chi, phis + np.pi)
+    assert f1 == pytest.approx(f2, rel=1e-10)
+    assert np.all(f1 >= 0.0)
 
 
 def test_phase_precision_domain_and_argument_checks():
@@ -322,6 +333,11 @@ def test_phase_precision_domain_and_argument_checks():
         mt.phase_precision(2, 0.5, "variance")
     with pytest.raises(ValueError):
         mt.phase_precision(4, 0.5, "fisher", state=mt.twin_state(2))
+
+
+def test_quantum_fisher_information_checks_the_probe_sector():
+    with pytest.raises(ValueError, match="does not match n_total"):
+        mt.quantum_fisher_information(4, state=mt.twin_state(2))
 
 
 def test_precision_sweep_and_csv(tmp_path):
