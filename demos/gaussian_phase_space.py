@@ -12,13 +12,14 @@ from tfsim import gaussian as g
 
 def main():
     state = g.vacuum_state(1)
-    for op in (
-        g.scale(0, 1.8, 1),
-        g.frft(0, np.pi / 6.0, 1),
-        g.displace(0, 1.0, -0.5, 1),
+    for gate, params in (
+        ("scale", {"s": 1.8}),
+        ("frft", {"phi": np.pi / 6.0}),
+        ("displace", {"omega0": 1.0, "t0": -0.5}),
     ):
-        state = g.apply(state, op)
-        print(f"applied {op.label:22s} purity defect {g.purity_defect(state):.2e}")
+        state = g.apply(state, gate, (0,), **params)
+        label = f"{gate}({', '.join(f'{k}={v:g}' for k, v in params.items())})"
+        print(f"applied {label:28s} purity defect {g.purity_defect(state):.2e}")
 
     print(f"mean  = {np.round(state.mean, 6)}")
     print("cov   =")

@@ -13,8 +13,9 @@ from tfsim import gaussian as g
 
 def main():
     state = g.vacuum_state(2)
-    for op in (g.scale(0, 1.5, 2), g.scale(1, 1.0 / 1.5, 2), g.fbs(0, 1, 2)):
-        state = g.apply(state, op)
+    state = g.apply(state, "scale", (0,), s=1.5)
+    state = g.apply(state, "scale", (1,), s=1.0 / 1.5)
+    state = g.apply(state, "fbs", (0, 1))
     dist = fgbs.build_distribution(state)
     print(f"pure source: {dist.is_pure}; prefactor {dist.prefactor:.6f}")
 

@@ -21,9 +21,9 @@ from the gate table :data:`tfsim.gaussian.GATES`. Each input mode starts as a
 Gaussian of the given spectral width (width 1 is the reference vacuum),
 implemented as a bandwidth-scaling gate on the unit vacuum; the ops then run
 in order. :func:`gate_ops` lists these steps as :class:`GateSpec` entries, the
-input scalings first, and :func:`run_circuit` applies each step's table block
-to the touched rows and columns of the covariance only, so a gate costs O(N)
-rather than a dense 2N x 2N product.
+input scalings first, and :func:`run_circuit` folds the gate step of
+:func:`tfsim.gaussian.apply` over them: each updates only its targets' rows and
+columns, so a gate costs O(N).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SchemaError, UnknownGateError
-from .gaussian import GATES, GaussianTFState, gate_block, mode_indices
+from .gaussian import GATES, GaussianTFState, _step
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -197,15 +197,8 @@ def run_circuit(spec):
     Each step updates only the rows and columns of its targets; the state is
     validated once, at the end.
     """
-    n = spec.modes
-    mean = np.zeros(2 * n)
-    cov = 0.5 * np.eye(2 * n)
+    mean = np.zeros(2 * spec.modes)
+    cov = 0.5 * np.eye(2 * spec.modes)
     for op in gate_ops(spec):
-        idx = mode_indices(op.targets, n)
-        block, shift = gate_block(op.gate, op.params)
-        cov[idx, :] = block @ cov[idx, :]
-        cov[:, idx] = cov[:, idx] @ block.T
-        mean[idx] = block @ mean[idx]
-        if shift is not None:
-            mean[idx] += shift
+        _step(mean, cov, op.gate, op.targets, op.params)
     return GaussianTFState(mean, cov)

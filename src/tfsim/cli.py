@@ -86,24 +86,18 @@ def _parse_photons(text):
 
 def _parse_grid(text):
     parts = text.split(",")
-    if len(parts) not in (2, 3):
-        raise ValueError(
-            "grid must be 'wmin:wmax:count,tmin:tmax:count[,origin]'"
-        )
-    axes = []
-    for part in parts[:2]:
-        lo_text, hi_text, count_text = part.split(":")
-        axes.append((float(lo_text), float(hi_text), int(count_text)))
-    origin = float(parts[2]) if len(parts) == 3 else 0.0
+    axes = [part.split(":") for part in parts[:2]]
+    if len(parts) not in (2, 3) or any(len(axis) != 3 for axis in axes):
+        raise ValueError("grid must be 'wmin:wmax:count,tmin:tmax:count[,origin]'")
     (wmin, wmax, wcount), (tmin, tmax, tcount) = axes
     return PhaseSpaceGrid(
-        omega_min=wmin,
-        omega_max=wmax,
-        omega_count=wcount,
-        t_min=tmin,
-        t_max=tmax,
-        t_count=tcount,
-        origin=origin,
+        omega_min=float(wmin),
+        omega_max=float(wmax),
+        omega_count=int(wcount),
+        t_min=float(tmin),
+        t_max=float(tmax),
+        t_count=int(tcount),
+        origin=float(parts[2]) if len(parts) == 3 else 0.0,
     )
 
 

@@ -9,7 +9,11 @@ An N-mode Gaussian state is the pair (mean, Sigma) over the coordinate vector
 (block ordering). The single-photon vacuum reference -- a photon with the unit
 Gaussian spectrum -- has mean 0 and covariance Sigma = I/2, and every gate is a
 symplectic matrix S (S^T Omega S = Omega with Omega = [[0, I], [-I, 0]])
-optionally followed by a mean displacement. Purity is det(2 Sigma) = 1.
+optionally followed by a mean displacement. Purity is det(2 Sigma) = 1. The
+gates are the entries of one table, :data:`GATES`, each a small symplectic
+block on its targets' rows; :func:`apply` (and :func:`tfsim.circuit.run_circuit`,
+which folds the same step over a circuit) updates only those rows and columns,
+so a gate costs O(N).
 
 Wigner and Husimi functions use the normalized conventions
 
@@ -22,7 +26,7 @@ the vacuum peaks at 1/pi in both and integrates to one (d^2alpha = domega dt/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +35,9 @@ from .exceptions import _check_cost
 
 __all__ = [
     "GaussianTFState",
-    "SymplecticOp",
     "PhaseSpaceGrid",
     "vacuum_state",
     "symplectic_form",
-    "fbs",
-    "frft",
-    "scale",
-    "displace",
     "Gate",
     "GATES",
     "gate_block",
@@ -67,8 +66,9 @@ def symplectic_form(n_modes):
 class GaussianTFState:
     """Gaussian state of N spectral modes: mean vector and covariance matrix.
 
-    ``mean`` has length 2N and ``cov`` is 2N x 2N, symmetric, and satisfies the
-    uncertainty relation Sigma + i Omega / 2 >= 0; both are validated.
+    ``mean`` has length 2N and ``cov`` is 2N x 2N; both are finite, ``cov`` is
+    symmetric and satisfies the uncertainty relation Sigma + i Omega / 2 >= 0
+    (all validated).
     """
 
     mean: np.ndarray
@@ -81,6 +81,8 @@ class GaussianTFState:
             raise ValueError("mean must be a 1-d vector of even length 2N")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov must be square with the same 2N dimension as mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise ValueError("covariance must be symmetric")
         omega = symplectic_form(mean.size // 2)
@@ -103,36 +105,6 @@ def vacuum_state(n_modes):
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     return GaussianTFState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
-
-
-@dataclass(frozen=True)
-class SymplecticOp:
-    """A gate: symplectic matrix plus mean shift, with a descriptive label.
-
-    ``matrix`` must satisfy S^T Omega S = Omega to 1e-12 (checked).
-    """
-
-    matrix: np.ndarray
-    shift: np.ndarray = None
-    label: str = ""
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ValueError("matrix must be square of even dimension 2N")
-        shift = self.shift
-        if shift is None:
-            shift = np.zeros(matrix.shape[0])
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (matrix.shape[0],):
-            raise ValueError("shift must be a vector of length 2N")
-        _check_symplectic(matrix, "matrix")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "shift", shift)
-
-    @property
-    def n_modes(self):
-        return self.matrix.shape[0] // 2
 
 
 def mode_indices(modes, n_modes):
@@ -190,7 +162,10 @@ class Gate:
     build: object
 
 
-#: The gate table: circuit parsing, the dense builders and run_circuit read it.
+#: The gate table: circuit parsing and apply / run_circuit read it. fbs maps
+#: (omega_a, omega_b) and (t_a, t_b) to their sum and difference over sqrt2; frft
+#: rotates one mode's (omega, t) plane by phi (HG index n picks up e^{i n phi});
+#: scale maps omega -> s omega, t -> t / s; displace shifts the mean by (omega0, t0).
 GATES = {
     "fbs": Gate(2, (), _fbs_block),
     "frft": Gate(1, ("phi",), _frft_block),
@@ -206,52 +181,32 @@ def gate_block(name, params):
     return block, shift
 
 
-def _dense_op(name, modes, n_modes, *values):
-    idx = mode_indices(modes, n_modes)
-    block, shift = gate_block(name, dict(zip(GATES[name].params, values)))
-    matrix = np.eye(2 * n_modes)
-    matrix[np.ix_(idx, idx)] = block
-    full_shift = np.zeros(2 * n_modes)
+@np.errstate(over="ignore", invalid="ignore")  # GaussianTFState rejects the result
+def _step(mean, cov, gate, targets, params):
+    """Apply one table gate in place to the targets' rows and columns only."""
+    idx = mode_indices(targets, mean.size // 2)
+    block, shift = gate_block(gate, params)
+    cov[idx, :] = block @ cov[idx, :]
+    cov[:, idx] = cov[:, idx] @ block.T
+    mean[idx] = block @ mean[idx]
     if shift is not None:
-        full_shift[idx] = shift
-    label = ",".join([str(m) for m in modes] + [f"{v:g}" for v in values])
-    return SymplecticOp(matrix, shift=full_shift, label=f"{name}({label})")
+        mean[idx] += shift
 
 
-def fbs(mode_a, mode_b, n_modes):
-    """Frequency beam splitter: sum/difference mixer of two modes.
+def apply(state, gate, targets, **params):
+    """Apply table gate ``gate`` to the modes ``targets``: mean -> S mean + shift,
+    Sigma -> S Sigma S^T, with S the gate's block on the targets' rows.
 
-    Maps (omega_a, omega_b) -> ((omega_a + omega_b)/sqrt2, (omega_a - omega_b)/sqrt2)
-    and acts identically on (t_a, t_b).
+    Gates, targets and parameters are named as in a circuit file's ops, e.g.
+    ``apply(state, "frft", (0,), phi=0.7)``.
     """
-    return _dense_op("fbs", (mode_a, mode_b), n_modes)
-
-
-def frft(mode, phi, n_modes):
-    """Fractional Fourier gate: rotate one mode's (omega, t) plane by phi.
-
-    ``frft(mode, 0)`` is the identity; the mode's Hermite-Gauss index n picks
-    up the phase e^{i n phi} in the spectral-mode picture.
-    """
-    return _dense_op("frft", (mode,), n_modes, phi)
-
-
-def scale(mode, s, n_modes):
-    """Spectral magnifier: omega -> s * omega, t -> t / s on one mode."""
-    return _dense_op("scale", (mode,), n_modes, s)
-
-
-def displace(mode, omega0, t0, n_modes):
-    """Shift one mode's mean by (omega0, t0); the covariance is untouched."""
-    return _dense_op("displace", (mode,), n_modes, omega0, t0)
-
-
-def apply(state, op):
-    """Apply a gate: mean -> S mean + shift, Sigma -> S Sigma S^T."""
-    if op.n_modes != state.n_modes:
-        raise ValueError("operator and state mode counts differ")
-    S = op.matrix
-    return GaussianTFState(S @ state.mean + op.shift, S @ state.cov @ S.T)
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}")
+    if len(targets) != GATES[gate].arity:
+        raise ValueError(f"gate {gate!r} takes exactly {GATES[gate].arity} target(s)")
+    mean, cov = state.mean.copy(), state.cov.copy()
+    _step(mean, cov, gate, targets, params)
+    return GaussianTFState(mean, cov)
 
 
 def reduce_to_mode(state, mode):
@@ -288,7 +243,8 @@ class PhaseSpaceGrid:
     """Rectangular evaluation grid for one mode's (omega, t) plane.
 
     ``origin`` is the carrier detuning that the omega axis is measured from;
-    axis specs are (min, max, count) with count >= 2.
+    axis specs are (min, max, count) with count >= 2. The axis ends (omega
+    measured from ``origin``) and spans must be finite.
     """
 
     omega_min: float
@@ -300,6 +256,10 @@ class PhaseSpaceGrid:
     origin: float = 0.0
 
     def __post_init__(self):
+        ends = (self.omega_min - self.origin, self.omega_max - self.origin, self.t_min,
+                self.t_max, self.omega_max - self.omega_min, self.t_max - self.t_min)
+        if not np.isfinite(ends).all():
+            raise ValueError("grid bounds, origin and axis spans must be finite")
         if self.omega_count < 2 or self.t_count < 2:
             raise ValueError("axis counts must be >= 2")
         if not (self.omega_max > self.omega_min and self.t_max > self.t_min):

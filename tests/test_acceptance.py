@@ -99,12 +99,13 @@ def test_criterion_3_pattern_probabilities_against_quadrature():
         for _ in range(4):
             kind = rng.choice(["fbs", "frft", "scale"])
             if kind == "fbs":
-                op = g.fbs(0, 1, 2)
+                state = g.apply(state, "fbs", (0, 1))
             elif kind == "frft":
-                op = g.frft(int(rng.integers(2)), float(rng.uniform(0, 2 * np.pi)), 2)
+                state = g.apply(state, "frft", (int(rng.integers(2)),),
+                                phi=float(rng.uniform(0, 2 * np.pi)))
             else:
-                op = g.scale(int(rng.integers(2)), float(rng.uniform(0.75, 1.4)), 2)
-            state = g.apply(state, op)
+                state = g.apply(state, "scale", (int(rng.integers(2)),),
+                                s=float(rng.uniform(0.75, 1.4)))
         dist = fgbs.build_distribution(state)
         for pattern in patterns:
             diff = abs(
@@ -126,10 +127,10 @@ def test_criterion_4_truncated_mass_is_sufficient_and_monotone():
     start = time.perf_counter()
     failures = []
     state = g.vacuum_state(2)
-    state = g.apply(state, g.scale(0, 1.5, 2))
-    state = g.apply(state, g.scale(1, 1.3, 2))
-    state = g.apply(state, g.fbs(0, 1, 2))
-    state = g.apply(state, g.frft(0, 0.6, 2))
+    state = g.apply(state, "scale", (0,), s=1.5)
+    state = g.apply(state, "scale", (1,), s=1.3)
+    state = g.apply(state, "fbs", (0, 1))
+    state = g.apply(state, "frft", (0,), phi=0.6)
     dist = fgbs.build_distribution(state)
     masses = [fgbs.total_probability(dist, cutoff) for cutoff in (2, 4, 6, 8)]
     for a, b in zip(masses, masses[1:]):
@@ -148,7 +149,7 @@ def test_criterion_5_sampler_matches_distribution():
     failures = []
     shots = 100_000
     dist = fgbs.build_distribution(
-        g.apply(g.vacuum_state(1), g.scale(0, 1.5, 1))
+        g.apply(g.vacuum_state(1), "scale", (0,), s=1.5)
     )
     samples = fgbs.sample(dist, shots=shots, rng_seed=42, cutoff=8)
     counts = Counter(p[0] for p in samples)
@@ -211,7 +212,7 @@ def test_criterion_7_structural_invariants_of_random_circuits():
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(4242)
-    form_cache = {n: g.symplectic_form(n) for n in (1, 2, 3)}
+    form_cache = {n: g.symplectic_form(n) for n in (1, 2)}
     worst_symp = 0.0
     worst_purity = 0.0
     worst_marginal = 0.0
@@ -227,28 +228,24 @@ def test_criterion_7_structural_invariants_of_random_circuits():
             )
             if kind == "fbs":
                 a, b = rng.choice(n_modes, size=2, replace=False)
-                op = g.fbs(int(a), int(b), n_modes)
+                targets, params = (int(a), int(b)), {}
             elif kind == "frft":
-                op = g.frft(
-                    int(rng.integers(n_modes)), float(rng.uniform(0, 2 * np.pi)), n_modes
-                )
+                targets = (int(rng.integers(n_modes)),)
+                params = {"phi": float(rng.uniform(0, 2 * np.pi))}
             elif kind == "scale":
-                op = g.scale(
-                    int(rng.integers(n_modes)), float(rng.uniform(0.8, 1.25)), n_modes
-                )
+                targets = (int(rng.integers(n_modes)),)
+                params = {"s": float(rng.uniform(0.8, 1.25))}
             else:
-                op = g.displace(
-                    int(rng.integers(n_modes)),
-                    float(rng.uniform(-1, 1)),
-                    float(rng.uniform(-1, 1)),
-                    n_modes,
-                )
-            form = form_cache[n_modes]
+                targets = (int(rng.integers(n_modes)),)
+                params = {"omega0": float(rng.uniform(-1, 1)), "t0": float(rng.uniform(-1, 1))}
+            # The symplectic defect of the gate's table block, at block size.
+            block, _ = g.gate_block(str(kind), params)
+            form = form_cache[len(targets)]
             worst_symp = max(
                 worst_symp,
-                float(np.max(np.abs(op.matrix.T @ form @ op.matrix - form))),
+                float(np.max(np.abs(block.T @ form @ block - form))),
             )
-            state = g.apply(state, op)
+            state = g.apply(state, str(kind), targets, **params)
 
         worst_purity = max(worst_purity, g.purity_defect(state))
 

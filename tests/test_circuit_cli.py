@@ -187,6 +187,23 @@ def test_round_trip_identity():
     assert list(doc) == sorted(doc)
 
 
+def dense_run(n, steps):
+    """Independent reference: each step as a dense 2N x 2N symplectic S (the
+    identity with the table block on the targets' rows), Sigma -> S Sigma S^T
+    and mu -> S mu + shift."""
+    mean, cov = np.zeros(2 * n), 0.5 * np.eye(2 * n)
+    for step in steps:
+        idx = g.mode_indices(step.targets, n)
+        block, shift = g.gate_block(step.gate, step.params)
+        S = np.eye(2 * n)
+        S[np.ix_(idx, idx)] = block
+        full_shift = np.zeros(2 * n)
+        if shift is not None:
+            full_shift[idx] = shift
+        mean, cov = S @ mean + full_shift, S @ cov @ S.T
+    return mean, cov
+
+
 def test_gate_ops_and_run_circuit():
     spec = parse(MIXER_2)
     ops = ct.gate_ops(spec)
@@ -196,14 +213,16 @@ def test_gate_ops_and_run_circuit():
 
     state = ct.run_circuit(spec)
     manual = g.vacuum_state(2)
-    manual = g.apply(manual, g.scale(0, 1.5, 2))
-    manual = g.apply(manual, g.fbs(0, 1, 2))
-    manual = g.apply(manual, g.frft(1, 0.7, 2))
-    assert np.max(np.abs(state.cov - manual.cov)) < 1e-14
-    assert np.max(np.abs(state.mean - manual.mean)) < 1e-14
+    manual = g.apply(manual, "scale", (0,), s=1.5)
+    manual = g.apply(manual, "fbs", (0, 1))
+    manual = g.apply(manual, "frft", (1,), phi=0.7)
+    assert np.array_equal(state.cov, manual.cov) and np.array_equal(state.mean, manual.mean)
+    mean, cov = dense_run(2, ops)
+    assert np.max(np.abs(state.cov - cov)) < 1e-14
+    assert np.max(np.abs(state.mean - mean)) < 1e-14
 
     # A seeded wide circuit with every gate kind and non-unit input widths:
-    # the row/column updates of run_circuit match the dense apply chain.
+    # the row/column updates of run_circuit match the dense reference.
     rng = np.random.default_rng(11)
     n = 24
     widths = [float(w) for w in rng.uniform(0.7, 1.4, size=n)]
@@ -227,14 +246,11 @@ def test_gate_ops_and_run_circuit():
     steps = ct.gate_ops(spec)
     assert len(steps) == (n - 1) + len(ops)
     assert steps[n - 1:] == spec.ops
-    manual = g.vacuum_state(n)
-    for step in steps:
-        builder = getattr(g, step.gate)
-        manual = g.apply(manual, builder(*step.targets, *step.params.values(), n))
+    mean, cov = dense_run(n, steps)
     state = ct.run_circuit(spec)
-    assert np.max(np.abs(state.cov - manual.cov)) <= 1e-13
-    assert np.max(np.abs(state.mean - manual.mean)) <= 1e-13
-    assert np.max(np.abs(manual.mean)) > 0.1 and np.max(np.abs(manual.cov)) > 1.0
+    assert np.max(np.abs(state.cov - cov)) <= 1e-13
+    assert np.max(np.abs(state.mean - mean)) <= 1e-13
+    assert np.max(np.abs(mean)) > 0.1 and np.max(np.abs(cov)) > 1.0
 
 
 def test_run_circuit_with_displacement():
@@ -616,6 +632,39 @@ def test_cli_bad_grid_spec(tmp_path, capsys):
     assert cli.main(["wigner", "--circuit", path, "--grid=-2:2:5"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "error"
+
+
+@pytest.mark.parametrize("grid", ["-1:1,-1:1:3", "-1:1:3,-1:1:3:4", "-1:1:3,1"])
+def test_cli_malformed_grid_axis_gets_the_usage_message(tmp_path, capsys, grid):
+    path = write_circuit(tmp_path, VACUUM_1)
+    assert cli.main(["wigner", "--circuit", path, f"--grid={grid}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["error"]["message"]
+    assert message == "grid must be 'wmin:wmax:count,tmin:tmax:count[,origin]'"
+
+
+@pytest.mark.parametrize(
+    "grid", ["-inf:inf:3,-1:1:2", "-1:1:2,-1:1:2,nan", "-1e308:1e308:3,-1:1:2"]
+)
+def test_cli_non_finite_grid_is_refused(tmp_path, capsys, grid):
+    path = write_circuit(tmp_path, VACUUM_1)
+    assert cli.main(["wigner", "--circuit", path, f"--grid={grid}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "error" and "must be finite" in err["message"]
+
+
+def test_cli_overflowing_state_is_refused(tmp_path, capsys):
+    # Two finite displacements whose sum overflows the mean: exit 1, not nan cells.
+    shift = {"gate": "displace", "targets": [0], "params": {"omega0": 1e308, "t0": 0.0}}
+    path = write_circuit(tmp_path, {**VACUUM_1, "ops": [shift, shift]})
+    assert cli.main(["wigner", "--circuit", path, "--grid=-1:1:2,-1:1:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "error" and "finite" in err["message"]
 
 
 def test_console_entry_point_runs():

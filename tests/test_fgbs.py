@@ -17,7 +17,7 @@ from tfsim.hg import decompose, hg_value
 
 
 def scaled_state(s, n_modes=1, mode=0):
-    return g.apply(g.vacuum_state(n_modes), g.scale(mode, s, n_modes))
+    return g.apply(g.vacuum_state(n_modes), "scale", (mode,), s=s)
 
 
 def random_two_mode_state(rng, n_gates=4):
@@ -25,12 +25,13 @@ def random_two_mode_state(rng, n_gates=4):
     for _ in range(n_gates):
         kind = rng.choice(["fbs", "frft", "scale"])
         if kind == "fbs":
-            op = g.fbs(0, 1, 2)
+            state = g.apply(state, "fbs", (0, 1))
         elif kind == "frft":
-            op = g.frft(int(rng.integers(2)), float(rng.uniform(0, 2 * np.pi)), 2)
+            state = g.apply(state, "frft", (int(rng.integers(2)),),
+                            phi=float(rng.uniform(0, 2 * np.pi)))
         else:
-            op = g.scale(int(rng.integers(2)), float(rng.uniform(0.75, 1.4)), 2)
-        state = g.apply(state, op)
+            state = g.apply(state, "scale", (int(rng.integers(2)),),
+                            s=float(rng.uniform(0.75, 1.4)))
     return state
 
 
@@ -68,9 +69,9 @@ def test_two_mode_squeezing_closed_form():
     s = 1.4
     r = math.log(s)
     state = g.vacuum_state(2)
-    state = g.apply(state, g.scale(0, s, 2))
-    state = g.apply(state, g.scale(1, 1.0 / s, 2))
-    state = g.apply(state, g.fbs(0, 1, 2))
+    state = g.apply(state, "scale", (0,), s=s)
+    state = g.apply(state, "scale", (1,), s=1.0 / s)
+    state = g.apply(state, "fbs", (0, 1))
     dist = fgbs.build_distribution(state)
     t, c = math.tanh(r), math.cosh(r)
     for n in range(4):
@@ -84,9 +85,9 @@ def test_two_mode_squeezing_closed_form():
 
 def tmsv_distribution(s):
     state = g.vacuum_state(2)
-    state = g.apply(state, g.scale(0, s, 2))
-    state = g.apply(state, g.scale(1, 1.0 / s, 2))
-    return fgbs.build_distribution(g.apply(state, g.fbs(0, 1, 2)))
+    state = g.apply(state, "scale", (0,), s=s)
+    state = g.apply(state, "scale", (1,), s=1.0 / s)
+    return fgbs.build_distribution(g.apply(state, "fbs", (0, 1)))
 
 
 @pytest.mark.parametrize("s", [1.5, 3.0])
@@ -199,9 +200,9 @@ def test_matches_two_photon_beam_splitter_picture():
     # formalism pattern probabilities equal the JSA coincidences.
     w_a, w_b = 1.3, 0.7
     state = g.vacuum_state(2)
-    state = g.apply(state, g.scale(0, w_a, 2))
-    state = g.apply(state, g.scale(1, w_b, 2))
-    state = g.apply(state, g.fbs(0, 1, 2))
+    state = g.apply(state, "scale", (0,), s=w_a)
+    state = g.apply(state, "scale", (1,), s=w_b)
+    state = g.apply(state, "fbs", (0, 1))
     dist = fgbs.build_distribution(state)
 
     photon_a = decompose(lambda w: hg_value(0, w_a, w), cutoff=12)
@@ -214,7 +215,7 @@ def test_matches_two_photon_beam_splitter_picture():
 
 
 def test_displaced_states_rejected():
-    displaced = g.apply(g.vacuum_state(1), g.displace(0, 0.4, 0.0, 1))
+    displaced = g.apply(g.vacuum_state(1), "displace", (0,), omega0=0.4, t0=0.0)
     with pytest.raises(ValueError):
         fgbs.build_distribution(displaced)
     with pytest.raises(ValueError):
@@ -284,9 +285,9 @@ def test_cost_limit_rejects_negative_and_malformed_values(monkeypatch):
 
 def test_total_probability_monotone_and_sufficient():
     state = g.vacuum_state(2)
-    state = g.apply(state, g.scale(0, 1.5, 2))
-    state = g.apply(state, g.scale(1, 1.3, 2))
-    state = g.apply(state, g.fbs(0, 1, 2))
+    state = g.apply(state, "scale", (0,), s=1.5)
+    state = g.apply(state, "scale", (1,), s=1.3)
+    state = g.apply(state, "fbs", (0, 1))
     dist = fgbs.build_distribution(state)
     masses = [fgbs.total_probability(dist, cutoff) for cutoff in (2, 4, 6, 8)]
     assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
@@ -378,11 +379,11 @@ def test_table_equals_per_pattern_probabilities_bit_for_bit():
         for _ in range(6):
             mode = int(rng.integers(n))
             if n > 1 and rng.random() < 0.4:
-                state = g.apply(state, g.fbs(mode, (mode + 1) % n, n))
+                state = g.apply(state, "fbs", (mode, (mode + 1) % n))
             elif rng.random() < 0.5:
-                state = g.apply(state, g.frft(mode, float(rng.uniform(0, 2 * np.pi)), n))
+                state = g.apply(state, "frft", (mode,), phi=float(rng.uniform(0, 2 * np.pi)))
             else:
-                state = g.apply(state, g.scale(mode, float(rng.uniform(0.7, 1.4)), n))
+                state = g.apply(state, "scale", (mode,), s=float(rng.uniform(0.7, 1.4)))
         if trial % 3 == 0:
             state = g.GaussianTFState(state.mean, state.cov + 0.1 * np.eye(2 * n))
         dist = fgbs.build_distribution(state)

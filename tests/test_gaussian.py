@@ -14,20 +14,16 @@ def random_circuit_state(rng, n_modes, n_gates=5, with_displacement=False):
         kind = rng.choice(["fbs", "frft", "scale"] if n_modes > 1 else ["frft", "scale"])
         if kind == "fbs":
             a, b = rng.choice(n_modes, size=2, replace=False)
-            op = g.fbs(int(a), int(b), n_modes)
+            state = g.apply(state, "fbs", (int(a), int(b)))
         elif kind == "frft":
-            op = g.frft(int(rng.integers(n_modes)), float(rng.uniform(0, 2 * np.pi)), n_modes)
+            state = g.apply(state, "frft", (int(rng.integers(n_modes)),),
+                            phi=float(rng.uniform(0, 2 * np.pi)))
         else:
-            op = g.scale(int(rng.integers(n_modes)), float(rng.uniform(0.6, 1.6)), n_modes)
-        state = g.apply(state, op)
+            state = g.apply(state, "scale", (int(rng.integers(n_modes)),),
+                            s=float(rng.uniform(0.6, 1.6)))
     if with_displacement:
-        op = g.displace(
-            int(rng.integers(n_modes)),
-            float(rng.uniform(-1, 1)),
-            float(rng.uniform(-1, 1)),
-            n_modes,
-        )
-        state = g.apply(state, op)
+        state = g.apply(state, "displace", (int(rng.integers(n_modes)),),
+                        omega0=float(rng.uniform(-1, 1)), t0=float(rng.uniform(-1, 1)))
     return state
 
 
@@ -49,21 +45,31 @@ def test_symplectic_form():
     assert np.array_equal(omega, expected)
 
 
+def dense_gate(name, modes, n_modes, params):
+    """Reference S and shift: the table block embedded on the targets' rows."""
+    idx = g.mode_indices(modes, n_modes)
+    block, shift = g.gate_block(name, params)
+    S = np.eye(2 * n_modes)
+    S[np.ix_(idx, idx)] = block
+    full_shift = np.zeros(2 * n_modes)
+    if shift is not None:
+        full_shift[idx] = shift
+    return S, full_shift
+
+
 def test_all_gate_constructors_are_symplectic():
     rng = np.random.default_rng(2)
-    n = 3
-    form = g.symplectic_form(n)
-    ops = [
-        g.fbs(0, 2, n),
-        g.frft(1, 0.7, n),
-        g.scale(2, 1.4, n),
-        g.displace(0, 0.3, -0.2, n),
+    blocks = [
+        g.gate_block("fbs", {}),
+        g.gate_block("frft", {"phi": 0.7}),
+        g.gate_block("scale", {"s": 1.4}),
+        g.gate_block("displace", {"omega0": 0.3, "t0": -0.2}),
     ]
     for _ in range(20):
-        ops.append(g.frft(int(rng.integers(n)), float(rng.uniform(0, 7)), n))
-        ops.append(g.scale(int(rng.integers(n)), float(rng.uniform(0.5, 2.0)), n))
-    for op in ops:
-        S = op.matrix
+        blocks.append(g.gate_block("frft", {"phi": float(rng.uniform(0, 7))}))
+        blocks.append(g.gate_block("scale", {"s": float(rng.uniform(0.5, 2.0))}))
+    for S, _ in blocks:
+        form = g.symplectic_form(S.shape[0] // 2)
         assert np.max(np.abs(S.T @ form @ S - form)) < 1e-12
 
 
@@ -71,9 +77,9 @@ def test_fbs_mean_mapping():
     # Photons carrying mean detunings 3 and 1 leave with the sum and the
     # difference, each divided by sqrt(2).
     state = g.vacuum_state(2)
-    state = g.apply(state, g.displace(0, 3.0, 0.0, 2))
-    state = g.apply(state, g.displace(1, 1.0, 0.0, 2))
-    out = g.apply(state, g.fbs(0, 1, 2))
+    state = g.apply(state, "displace", (0,), omega0=3.0, t0=0.0)
+    state = g.apply(state, "displace", (1,), omega0=1.0, t0=0.0)
+    out = g.apply(state, "fbs", (0, 1))
     s2 = math.sqrt(2.0)
     assert out.mean[0] == pytest.approx(4.0 / s2, rel=1e-14)
     assert out.mean[1] == pytest.approx(2.0 / s2, rel=1e-14)
@@ -83,7 +89,7 @@ def test_fbs_mean_mapping():
 
 def test_fbs_preserves_vacuum():
     state = g.vacuum_state(2)
-    out = g.apply(state, g.fbs(0, 1, 2))
+    out = g.apply(state, "fbs", (0, 1))
     assert np.max(np.abs(out.cov - state.cov)) < 1e-14
     assert np.max(np.abs(out.mean)) < 1e-14
 
@@ -93,9 +99,9 @@ def test_fbs_correlates_unequal_widths():
     # off-diagonal correlations +/- (s^2 - s^-2)/4.
     s = 1.5
     state = g.vacuum_state(2)
-    state = g.apply(state, g.scale(0, s, 2))
-    state = g.apply(state, g.scale(1, 1.0 / s, 2))
-    out = g.apply(state, g.fbs(0, 1, 2))
+    state = g.apply(state, "scale", (0,), s=s)
+    state = g.apply(state, "scale", (1,), s=1.0 / s)
+    out = g.apply(state, "fbs", (0, 1))
     expected = (s**2 - s**-2) / 4.0
     assert out.cov[0, 1] == pytest.approx(expected, rel=1e-12)
     assert out.cov[2, 3] == pytest.approx(-expected, rel=1e-12)
@@ -103,66 +109,71 @@ def test_fbs_correlates_unequal_widths():
 
 def test_fbs_rejects_bad_modes():
     with pytest.raises(ValueError):
-        g.fbs(0, 0, 2)
+        g.apply(g.vacuum_state(2), "fbs", (0, 0))
     with pytest.raises(ValueError):
-        g.fbs(0, 2, 2)
+        g.apply(g.vacuum_state(2), "fbs", (0, 2))
 
 
 def test_frft_zero_is_identity():
-    op = g.frft(0, 0.0, 2)
-    assert np.array_equal(op.matrix, np.eye(4))
+    block, shift = g.gate_block("frft", {"phi": 0.0})
+    assert np.array_equal(block, np.eye(2)) and shift is None
+    state = random_circuit_state(np.random.default_rng(3), 2, with_displacement=True)
+    out = g.apply(state, "frft", (1,), phi=0.0)
+    assert np.array_equal(out.cov, state.cov)
+    assert np.array_equal(out.mean, state.mean)
 
 
 def test_frft_composes_as_rotation():
-    a = g.frft(0, 0.4, 1)
-    b = g.frft(0, 0.9, 1)
-    c = g.frft(0, 1.3, 1)
-    assert np.max(np.abs(b.matrix @ a.matrix - c.matrix)) < 1e-13
+    a, _ = g.gate_block("frft", {"phi": 0.4})
+    b, _ = g.gate_block("frft", {"phi": 0.9})
+    c, _ = g.gate_block("frft", {"phi": 1.3})
+    assert np.max(np.abs(b @ a - c)) < 1e-13
+    state = random_circuit_state(np.random.default_rng(4), 1, with_displacement=True)
+    twice = g.apply(g.apply(state, "frft", (0,), phi=0.4), "frft", (0,), phi=0.9)
+    once = g.apply(state, "frft", (0,), phi=1.3)
+    assert np.max(np.abs(twice.cov - once.cov)) < 1e-13
+    assert np.max(np.abs(twice.mean - once.mean)) < 1e-13
 
 
 def test_scale_inverse_composes_to_identity():
-    op = g.scale(0, 1.7, 1)
-    inv = g.scale(0, 1.0 / 1.7, 1)
-    assert np.max(np.abs(inv.matrix @ op.matrix - np.eye(2))) < 1e-13
+    op, _ = g.gate_block("scale", {"s": 1.7})
+    inv, _ = g.gate_block("scale", {"s": 1.0 / 1.7})
+    assert np.max(np.abs(inv @ op - np.eye(2))) < 1e-13
+    state = g.vacuum_state(1)
     with pytest.raises(ValueError):
-        g.scale(0, 0.0, 1)
+        g.apply(state, "scale", (0,), s=0.0)
     with pytest.raises(ValueError):
-        g.scale(0, -1.0, 1)
+        g.apply(state, "scale", (0,), s=-1.0)
 
 
 def test_displace_only_shifts_mean():
     state = g.vacuum_state(2)
-    out = g.apply(state, g.displace(1, 0.8, -0.3, 2))
+    out = g.apply(state, "displace", (1,), omega0=0.8, t0=-0.3)
     assert np.array_equal(out.cov, state.cov)
     assert out.mean[1] == pytest.approx(0.8)
     assert out.mean[3] == pytest.approx(-0.3)
     assert out.mean[0] == out.mean[2] == 0.0
     with pytest.raises(ValueError):
-        g.displace(0, np.inf, 0.0, 2)
+        g.apply(state, "displace", (0,), omega0=np.inf, t0=0.0)
     with pytest.raises(ValueError):
-        g.displace(0, np.nan, 0.0, 2)
+        g.apply(state, "displace", (0,), omega0=np.nan, t0=0.0)
 
 
 def test_gate_symplectic_dispatch():
-    # Every table entry: the public builder of the same name embeds exactly the
-    # table block (and shift) on the target rows and is the identity elsewhere.
+    # Every table entry: apply(state, name, targets, **params) equals the dense
+    # reference S Sigma S^T, S mu + shift, with S the identity carrying the
+    # table block on the target rows.
     rng = np.random.default_rng(5)
     n = 4
+    state = random_circuit_state(rng, n, n_gates=12, with_displacement=True)
     for name, gate in g.GATES.items():
         modes = tuple(int(m) for m in rng.choice(n, size=gate.arity, replace=False))
         params = {p: float(rng.uniform(0.3, 1.7)) for p in gate.params}
-        op = getattr(g, name)(*modes, *params.values(), n)
-        idx = g.mode_indices(modes, n)
-        rest = [i for i in range(2 * n) if i not in idx]
-        block, shift = g.gate_block(name, params)
-        assert block.shape == (2 * gate.arity, 2 * gate.arity)
-        assert np.array_equal(op.matrix[np.ix_(idx, idx)], block)
-        assert np.array_equal(op.matrix[np.ix_(rest, rest)], np.eye(len(rest)))
-        assert not op.matrix[np.ix_(idx, rest)].any() and not op.matrix[np.ix_(rest, idx)].any()
-        expected_shift = np.zeros(2 * gate.arity) if shift is None else shift
-        assert np.array_equal(op.shift[idx], expected_shift)
-        assert not op.shift[rest].any()
-        assert op.label.startswith(f"{name}(")
+        assert g.gate_block(name, params)[0].shape == (2 * gate.arity, 2 * gate.arity)
+        S, shift = dense_gate(name, modes, n, params)
+        out = g.apply(state, name, modes, **params)
+        assert np.max(np.abs(out.cov - S @ state.cov @ S.T)) < 1e-13
+        assert np.max(np.abs(out.mean - (S @ state.mean + shift))) < 1e-13
 
     with pytest.raises(KeyError):
         g.gate_block("squeeze", {})
@@ -170,18 +181,27 @@ def test_gate_symplectic_dispatch():
         g.gate_block("frft", {"phi": 0.3, "extra": 1})
 
 
-def test_symplectic_op_rejects_non_symplectic():
-    with pytest.raises(ValueError):
-        g.SymplecticOp(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        g.SymplecticOp(np.eye(3))
-    with pytest.raises(ValueError):
-        g.SymplecticOp(np.eye(2), shift=np.zeros(3))
+def test_gate_block_rejects_a_non_symplectic_table_entry(monkeypatch):
+    stretch = g.Gate(1, (), lambda: (np.diag([1.0, 2.0]), None))
+    monkeypatch.setitem(g.GATES, "stretch", stretch)
+    with pytest.raises(ValueError, match="not symplectic"):
+        g.gate_block("stretch", {})
+    with pytest.raises(ValueError, match="not symplectic"):
+        g.apply(g.vacuum_state(2), "stretch", (1,))
 
 
-def test_apply_mode_mismatch():
-    with pytest.raises(ValueError):
-        g.apply(g.vacuum_state(2), g.frft(0, 0.1, 1))
+def test_apply_rejects_wrong_arity_unknown_gate_and_bad_target():
+    state = g.vacuum_state(2)
+    with pytest.raises(ValueError, match="exactly 1 target"):
+        g.apply(state, "frft", (0, 1), phi=0.1)
+    with pytest.raises(ValueError, match="exactly 2 target"):
+        g.apply(state, "fbs", (0,))
+    with pytest.raises(ValueError, match="unknown gate"):
+        g.apply(state, "squeeze", (0,), r=0.1)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        g.apply(state, "frft", (2,), phi=0.1)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        g.apply(state, "frft", (-1,), phi=0.1)
 
 
 def test_purity_preserved_by_random_circuits():
@@ -205,9 +225,22 @@ def test_covariance_validation():
         g.GaussianTFState(np.zeros(3), 0.5 * np.eye(3))
 
 
+def test_non_finite_state_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        g.GaussianTFState(np.zeros(2), [[np.inf, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        g.GaussianTFState(np.zeros(2), [[np.nan, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        g.GaussianTFState(np.array([np.inf, 0.0]), 0.5 * np.eye(2))
+    # Two finite displacements whose sum overflows the mean.
+    state = g.apply(g.vacuum_state(1), "displace", (0,), omega0=1e308, t0=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        g.apply(state, "displace", (0,), omega0=1e308, t0=0.0)
+
+
 def test_reduce_to_mode():
     state = g.vacuum_state(3)
-    state = g.apply(state, g.scale(1, 2.0, 3))
+    state = g.apply(state, "scale", (1,), s=2.0)
     single = g.reduce_to_mode(state, 1)
     assert single.n_modes == 1
     assert np.allclose(single.cov, np.diag([2.0, 0.125]))
@@ -225,7 +258,7 @@ def test_wigner_vacuum_peak():
 
 def test_wigner_integrates_to_one():
     grid = g.PhaseSpaceGrid(-6, 6, 201, -6, 6, 201)
-    state = g.apply(g.vacuum_state(1), g.scale(0, 1.3, 1))
+    state = g.apply(g.vacuum_state(1), "scale", (0,), s=1.3)
     field = g.wigner_eval(state, grid)
     total = np.trapezoid(np.trapezoid(field, grid.t_axis, axis=1), grid.omega_axis)
     assert total == pytest.approx(1.0, abs=1e-6)
@@ -235,7 +268,7 @@ def test_wigner_marginal_matches_spectral_density():
     # Integrating W over t gives the spectral density: for a width-s Gaussian
     # photon that is |HG_0(omega; s)|^2, pointwise to 1e-8.
     s = 1.4
-    state = g.apply(g.vacuum_state(1), g.scale(0, s, 1))
+    state = g.apply(g.vacuum_state(1), "scale", (0,), s=s)
     grid = g.PhaseSpaceGrid(-6, 6, 121, -9, 9, 301)
     field = g.wigner_eval(state, grid)
     marginal = np.trapezoid(field, grid.t_axis, axis=1)
@@ -246,7 +279,7 @@ def test_wigner_marginal_matches_spectral_density():
 def test_wigner_respects_grid_origin():
     # Axis values are absolute frequencies measured against ``origin``: a
     # photon displaced to detuning +2 peaks at axis value origin + 2.
-    state = g.apply(g.vacuum_state(1), g.displace(0, 2.0, 0.0, 1))
+    state = g.apply(g.vacuum_state(1), "displace", (0,), omega0=2.0, t0=0.0)
     grid = g.PhaseSpaceGrid(-2, 6, 81, -4, 4, 81, origin=0.5)
     field = g.wigner_eval(state, grid)
     i, j = np.unravel_index(np.argmax(field), field.shape)
@@ -259,6 +292,11 @@ def test_phase_space_grid_validation():
         g.PhaseSpaceGrid(-1, 1, 1, -1, 1, 11)
     with pytest.raises(ValueError):
         g.PhaseSpaceGrid(1, -1, 11, -1, 1, 11)
+    for bad in [(-np.inf, 1, 3, -1, 1, 3), (-1, 1, 3, -1, np.nan, 3),
+                (-1e308, 1e308, 3, -1, 1, 3), (-1, 1, 3, -1, 1, 3, np.inf),
+                (1e308, 1.5e308, 3, -1, 1, 3, -1e308)]:
+        with pytest.raises(ValueError, match="finite"):
+            g.PhaseSpaceGrid(*bad)
 
 
 def test_husimi_vacuum_values():
@@ -269,7 +307,7 @@ def test_husimi_vacuum_values():
 
 
 def test_husimi_normalization():
-    state = g.apply(g.vacuum_state(1), g.scale(0, 1.3, 1))
+    state = g.apply(g.vacuum_state(1), "scale", (0,), s=1.3)
     w = np.linspace(-8, 8, 161)
     t = np.linspace(-8, 8, 161)
     q = np.array([[g.husimi_eval(state, (wi + 1j * ti) / math.sqrt(2.0)) for ti in t] for wi in w])
@@ -307,7 +345,7 @@ def test_complex_covariance_of_scaled_mode():
     # off-diagonal sinh(2r)/2 with r = ln s.
     s = 1.5
     r = math.log(s)
-    state = g.apply(g.vacuum_state(1), g.scale(0, s, 1))
+    state = g.apply(g.vacuum_state(1), "scale", (0,), s=s)
     sigma_c = g.to_complex_covariance(state)
     assert sigma_c[0, 0] == pytest.approx(math.cosh(2 * r) / 2.0, rel=1e-12)
     assert sigma_c[1, 1] == pytest.approx(math.cosh(2 * r) / 2.0, rel=1e-12)
@@ -316,7 +354,7 @@ def test_complex_covariance_of_scaled_mode():
 
 
 def test_wigner_csv_round_trip(tmp_path):
-    state = g.apply(g.vacuum_state(1), g.scale(0, 1.2, 1))
+    state = g.apply(g.vacuum_state(1), "scale", (0,), s=1.2)
     grid = g.PhaseSpaceGrid(-2, 2, 5, -3, 3, 7)
     text = g.wigner_csv_text(state, grid)
     assert text == g.wigner_csv_text(state, grid)  # deterministic

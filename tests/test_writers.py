@@ -103,7 +103,7 @@ def test_wigner_csv_bytes_with_origin_across_chunks():
 
 
 def test_wigner_csv_bytes_small_grid():
-    state = g.apply(g.vacuum_state(1), g.scale(0, 1.2, 1))
+    state = g.apply(g.vacuum_state(1), "scale", (0,), s=1.2)
     grid = g.PhaseSpaceGrid(-2, 2, 5, -3, 3, 7, origin=-0.25)
     text = g.wigner_csv_text(state, grid)
     assert text == ref_wigner_csv(grid, g.wigner_eval(state, grid))
