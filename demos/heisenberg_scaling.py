@@ -19,8 +19,8 @@ def main():
           f"{'jz_squared':>12} {'jz':>8}")
     for n in n_values:
         qfi = mt.quantum_fisher_information(n)
-        _, best_fisher = mt.best_precision(n, "fisher")
-        _, best_second = mt.best_precision(n, "jz_squared")
+        best_fisher = mt.best_precision(n, "fisher")
+        best_second = mt.best_precision(n, "jz_squared")
         jz = mt.phase_precision(n, 0.9, "jz")
         jz_text = "inf" if jz.degenerate else f"{float(jz):.4f}"
         print(

@@ -57,9 +57,9 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _load_circuit(path):
+def _load_state(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+        return run_circuit(parse_circuit(fh.read()))
 
 
 def _parse_pattern(text):
@@ -125,12 +125,12 @@ def _cmd_metrology(args):
 
 
 def _cmd_fgbs_prob(args):
-    spec = _load_circuit(args.circuit)
-    dist = fgbs.build_distribution(run_circuit(spec))
+    state = _load_state(args.circuit)
+    dist = fgbs.build_distribution(state)
     pattern = _parse_pattern(args.pattern)
     payload = {
         "command": "fgbs-prob",
-        "modes": spec.modes,
+        "modes": state.n_modes,
         "pattern": list(pattern),
         "probability": fgbs.probability(dist, pattern),
     }
@@ -138,15 +138,13 @@ def _cmd_fgbs_prob(args):
 
 
 def _cmd_fgbs_sample(args):
-    spec = _load_circuit(args.circuit)
-    dist = fgbs.build_distribution(run_circuit(spec))
+    dist = fgbs.build_distribution(_load_state(args.circuit))
     samples = fgbs.sample(dist, args.shots, args.seed, args.cutoff)
     return fgbs.samples_to_jsonl(samples)
 
 
 def _cmd_wigner(args):
-    spec = _load_circuit(args.circuit)
-    state = run_circuit(spec)
+    state = _load_state(args.circuit)
     return wigner_csv_text(state, _parse_grid(args.grid), mode=args.mode)
 
 
@@ -158,13 +156,16 @@ def _build_parser():
         "Wigner phase-space maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default stdout)")
 
-    hom = sub.add_parser("hom", help="two identical photons through the beam splitter")
+    hom = sub.add_parser(
+        "hom", parents=[out], help="two identical photons through the beam splitter"
+    )
     hom.add_argument("--n", type=int, default=1, help="HG order of both input photons")
-    hom.add_argument("--out", default=None, help="output file (default stdout)")
     hom.set_defaults(handler=_cmd_hom)
 
-    met = sub.add_parser("metrology", help="phase-precision sweep as CSV")
+    met = sub.add_parser("metrology", parents=[out], help="phase-precision sweep as CSV")
     met.add_argument(
         "--photons", required=True, help="total index N, or an even range like 2..20"
     )
@@ -180,27 +181,26 @@ def _build_parser():
         default=None,
         help="operating point in (0, pi); omit to optimize per row",
     )
-    met.add_argument("--out", default=None, help="output file (default stdout)")
     met.set_defaults(handler=_cmd_metrology)
 
     fgbs_parser = sub.add_parser("fgbs", help="Gaussian boson sampling over HG patterns")
     fgbs_sub = fgbs_parser.add_subparsers(dest="fgbs_command", required=True)
 
-    prob = fgbs_sub.add_parser("prob", help="probability of one detection pattern")
+    prob = fgbs_sub.add_parser("prob", parents=[out], help="probability of one detection pattern")
     prob.add_argument("--circuit", required=True, help="circuit JSON file")
     prob.add_argument("--pattern", required=True, help="comma-separated mode orders")
-    prob.add_argument("--out", default=None, help="output file (default stdout)")
     prob.set_defaults(handler=_cmd_fgbs_prob)
 
-    samp = fgbs_sub.add_parser("sample", help="draw seeded detection-pattern samples")
+    samp = fgbs_sub.add_parser(
+        "sample", parents=[out], help="draw seeded detection-pattern samples"
+    )
     samp.add_argument("--circuit", required=True, help="circuit JSON file")
     samp.add_argument("--shots", type=int, default=1000, help="number of samples")
     samp.add_argument("--seed", type=int, default=0, help="RNG seed")
     samp.add_argument("--cutoff", type=int, default=8, help="per-mode index cutoff")
-    samp.add_argument("--out", default=None, help="output file (default stdout)")
     samp.set_defaults(handler=_cmd_fgbs_sample)
 
-    wig = sub.add_parser("wigner", help="single-mode Wigner field as CSV")
+    wig = sub.add_parser("wigner", parents=[out], help="single-mode Wigner field as CSV")
     wig.add_argument("--circuit", required=True, help="circuit JSON file")
     wig.add_argument("--mode", type=int, default=0, help="mode to reduce to")
     wig.add_argument(
@@ -208,7 +208,6 @@ def _build_parser():
         default="-4:4:81,-4:4:81",
         help="grid spec wmin:wmax:count,tmin:tmax:count[,origin]",
     )
-    wig.add_argument("--out", default=None, help="output file (default stdout)")
     wig.set_defaults(handler=_cmd_wigner)
 
     return parser

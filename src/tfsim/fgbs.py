@@ -19,9 +19,10 @@ from the covariance matrix and projects it onto the HG product basis by
 tensor-product Gauss-Hermite quadrature.
 
 Cost guards protect the hafnian evaluation, the sampler's pattern
-enumeration and its draws; the limit defaults to DEFAULT_MAX_COST cost units
-(one unit = one entry of the recurrence box, or one shot) and is set through
-the TFSIM_MAX_COST environment variable (a non-negative decimal integer).
+enumeration and its draws; the limit defaults to
+:data:`tfsim.exceptions.DEFAULT_MAX_COST` cost units (one unit = one entry of
+the recurrence box, or one shot) and is set through the TFSIM_MAX_COST
+environment variable (a non-negative decimal integer).
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import emit, floats, ints, table_text, texts
-from .exceptions import DEFAULT_MAX_COST, CostGuardError, InsufficientMassError, _check_cost
-from .gaussian import purity_defect, to_complex_covariance
+from .exceptions import CostGuardError, InsufficientMassError, _check_cost
+from .gaussian import _inverse_and_det, purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, hafnian_box
 from .hg import gauss_hermite, hermite_functions
 
 __all__ = [
     "FgbsDistribution",
-    "DEFAULT_MAX_COST",
     "MASS_REQUIREMENT",
     "build_distribution",
     "probability",
@@ -55,20 +55,20 @@ MASS_REQUIREMENT = 0.999
 IMAG_TOL = 1e-10
 MEAN_TOL = 1e-12
 PURITY_TOL = 1e-8
+#: Order of the tensor-product Gauss-Hermite rule behind oracle_probability.
+ORACLE_RULE_ORDER = 48
 
 
 @dataclass(frozen=True)
 class FgbsDistribution:
     """Sampling data derived from a zero-mean Gaussian state.
 
-    ``sigma_q`` is the Husimi covariance Sigma_c + I/2, ``a_matrix`` the
-    complex symmetric kernel entering the hafnian, ``prefactor`` the
-    normalization |det Sigma_Q|^{-1/2}, and ``is_pure`` records whether the
+    ``a_matrix`` is the complex symmetric kernel entering the hafnian,
+    ``prefactor`` the normalization |det Sigma_Q|^{-1/2} with Sigma_Q the
+    Husimi covariance Sigma_c + I/2, and ``is_pure`` records whether the
     source state was pure (pure sources place zero mass on odd total index).
     """
 
-    source: object
-    sigma_q: np.ndarray
     a_matrix: np.ndarray
     prefactor: float
     is_pure: bool
@@ -79,10 +79,11 @@ class FgbsDistribution:
 
 
 def build_distribution(state):
-    """Derive (Sigma_Q, A, prefactor) from a zero-mean Gaussian state.
+    """Derive (A, prefactor) from a zero-mean Gaussian state.
 
     Displaced states are rejected: their probabilities would need loop
-    hafnians, which are out of scope.
+    hafnians, which are out of scope. So is an ill-conditioned Sigma_Q, whose
+    inverse and determinant would be rounding noise.
     """
     if float(np.max(np.abs(state.mean))) > MEAN_TOL:
         raise ValueError("displaced states are not supported; mean must be zero")
@@ -90,7 +91,8 @@ def build_distribution(state):
     eye = np.eye(2 * n)
     sigma_q = to_complex_covariance(state) + 0.5 * eye
     swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    a = swap @ (eye - np.linalg.inv(sigma_q))
+    inv, det = _inverse_and_det(sigma_q, "Husimi covariance Sigma_Q")
+    a = swap @ (eye - inv)
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10:
         raise ArithmeticError(f"A matrix lost its symmetry (defect {asym:.3e})")
@@ -100,10 +102,8 @@ def build_distribution(state):
         raise ValueError(
             f"spectral radius of A is {radius:.6f} >= 1; distribution not normalizable"
         )
-    prefactor = 1.0 / math.sqrt(abs(np.linalg.det(sigma_q)))
+    prefactor = 1.0 / math.sqrt(abs(det))
     return FgbsDistribution(
-        source=state,
-        sigma_q=sigma_q,
         a_matrix=a,
         prefactor=prefactor,
         is_pure=purity_defect(state) < 1e-10,
@@ -154,7 +154,7 @@ def _pure_wavefunction_params(state):
     return v, u
 
 
-def oracle_probability(state, pattern, rule_order=48):
+def oracle_probability(state, pattern):
     """Ground-truth pattern probability by direct quadrature, no hafnians.
 
     Reconstructs the pure-state wavefunction in the frequency representation
@@ -173,7 +173,7 @@ def oracle_probability(state, pattern, rule_order=48):
         raise ValueError("quadrature oracle handles pure states only")
     v, u = _pure_wavefunction_params(state)
     m = v + 1j * u
-    rule = gauss_hermite(rule_order)
+    rule = gauss_hermite(ORACLE_RULE_ORDER)
     factors = [hermite_functions(k, rule.nodes)[k] * rule.scaled_weights for k in pattern]
     weight_tensor = factors[0]
     for f in factors[1:]:

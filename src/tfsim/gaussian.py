@@ -53,6 +53,8 @@ __all__ = [
 
 SYMPLECTIC_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-10
+#: A covariance whose diagonally scaled 1-norm condition number exceeds this is refused.
+CONDITION_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def symplectic_form(n_modes):
@@ -274,9 +276,31 @@ class PhaseSpaceGrid:
         return np.linspace(self.t_min, self.t_max, self.t_count)
 
 
+def _inverse_and_det(cov, what):
+    """Inverse and determinant of a covariance; a ValueError naming ``what`` when it is
+    singular, its determinant is 0 or not finite, or D^-1/2 cov D^-1/2 (D its diagonal)
+    has a 1-norm condition number above CONDITION_LIMIT, read from the inverse in O(N^2).
+    """
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(cov)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(cov, np.inf)
+        det = np.linalg.det(cov)
+        scale = np.sqrt(np.abs(np.diagonal(cov)))
+        scale = np.outer(scale, scale)
+        condition = np.linalg.norm(cov / scale, 1) * np.linalg.norm(inv * scale, 1)
+    if not (0.0 < abs(det) < np.inf and condition <= CONDITION_LIMIT):
+        raise ValueError(
+            f"ill-conditioned {what} (determinant {abs(det):.3e}, "
+            f"scaled condition number {condition:.3e})"
+        )
+    return inv, det
+
+
 def _gaussian_field(mean, cov, omega_axis, t_axis):
-    inv = np.linalg.inv(cov)
-    norm = (2.0 * np.pi) * np.sqrt(np.linalg.det(cov))
+    inv, det = _inverse_and_det(cov, "single-mode covariance")
+    norm = (2.0 * np.pi) * np.sqrt(det)
     dw = omega_axis[:, None] - mean[0]
     dt = t_axis[None, :] - mean[1]
     # Built in place so the grid costs one array; b + a rounds as a + b does.

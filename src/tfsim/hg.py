@@ -68,27 +68,27 @@ class QuadratureRule:
         Positive scaled weights W = w e^{x^2}; sum W g(x) approximates the
         integral of g, exactly when g e^{x^2} is a polynomial of degree
         <= 2*order - 1.
-    order : int
-        Number of nodes.
     """
 
     nodes: np.ndarray
     scaled_weights: np.ndarray
-    order: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         scaled = np.asarray(self.scaled_weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != scaled.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if len(nodes) != self.order or self.order < 1:
-            raise ValueError("order must match the number of nodes and be >= 1")
+        if nodes.ndim != 1 or nodes.shape != scaled.shape or nodes.size < 1:
+            raise ValueError("nodes and weights must be non-empty 1-d arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not np.all((scaled > 0) & np.isfinite(scaled)):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "scaled_weights", scaled)
+
+    @property
+    def order(self):
+        """Number of nodes."""
+        return len(self.nodes)
 
     @property
     def weights(self):
@@ -123,7 +123,7 @@ def gauss_hermite(order):
         scaled = math.sqrt(math.pi) / order * np.exp(-2.0 * log_psi)
         x = x - hi / (math.sqrt(2.0 * order) * lo - x * hi)
     return QuadratureRule(
-        np.concatenate((-x[::-1][:half], x)), np.concatenate((scaled[::-1][:half], scaled)), order
+        np.concatenate((-x[::-1][:half], x)), np.concatenate((scaled[::-1][:half], scaled))
     )
 
 
@@ -181,60 +181,14 @@ def _overlap_matrix(f, cutoff, sigma, rule):
     return np.sqrt(sigma) * ((hermite_functions(cutoff, x) * rule.scaled_weights) @ fx)
 
 
-def _refined_overlaps(f, nmax, sigma, rule, checked, what):
-    """Coefficients <0..nmax|f> from the doubled-order rule.
-
-    ``rule`` defaults to order 2 nmax + MIN_ORDER_MARGIN and may not be
-    coarser. Warns with AccuracyWarning when doubling the order moves the
-    coefficients selected by ``checked`` by more than CONVERGENCE_TOL.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    minimum = 2 * nmax + MIN_ORDER_MARGIN
-    if rule is None:
-        rule = gauss_hermite(minimum)
-    if rule.order < minimum:
-        raise ValueError(f"rule order {rule.order} below contract minimum {minimum}")
-    coarse = _overlap_matrix(f, nmax, sigma, rule)
-    fine = _overlap_matrix(f, nmax, sigma, gauss_hermite(2 * rule.order))
-    shift = float(np.max(np.abs(fine[checked] - coarse[checked])))
-    if shift > CONVERGENCE_TOL:
-        warnings.warn(
-            f"{what} moved by up to {shift:.3e} when the quadrature order was doubled; "
-            "raise the rule order",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    return fine
-
-
 def hg_overlap(f, n, sigma, rule=None):
-    """Overlap <HG_n(sigma)|f> = Int domega HG_n(omega; sigma)* f(omega).
+    """Overlap <HG_n(sigma)|f> = Int domega HG_n(omega; sigma)* f(omega), as a complex.
 
-    Parameters
-    ----------
-    f : callable
-        Maps an ndarray of detunings to (possibly complex) amplitudes.
-    n : int
-        Mode index.
-    sigma : float
-        Basis width.
-    rule : QuadratureRule, optional
-        Must have order >= 2 n + 16. Defaults to exactly that order.
-
-    Returns
-    -------
-    complex
-        The overlap from the refined (doubled-order) rule.
-
-    Warns
-    -----
-    AccuracyWarning
-        If doubling the rule order moves the value by more than 1e-10.
+    Coefficient ``n`` of ``decompose(f, n, sigma, rule)``, whose checks (the squared
+    norm of coefficients 0..n may not exceed 1) and AccuracyWarning (raised when any
+    of them moves under order doubling) it shares.
     """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    return complex(_refined_overlaps(f, n, sigma, rule, n, f"overlap <{n}|f>")[n])
+    return complex(decompose(f, n, sigma, rule).coeffs[n])
 
 
 @dataclass(frozen=True)
@@ -289,7 +243,8 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
     sigma : float
         Basis width.
     rule : QuadratureRule, optional
-        Defaults to order 2*cutoff + 16.
+        Must have order >= 2*cutoff + 16. Defaults to exactly that order; the
+        coefficients come from the doubled-order rule.
 
     Returns
     -------
@@ -303,8 +258,24 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    coeffs = _refined_overlaps(f, cutoff, sigma, rule, slice(None), "decomposition coefficients")
-    return SpectralState(coeffs=coeffs, sigma=sigma)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    minimum = 2 * cutoff + MIN_ORDER_MARGIN
+    if rule is None:
+        rule = gauss_hermite(minimum)
+    if rule.order < minimum:
+        raise ValueError(f"rule order {rule.order} below contract minimum {minimum}")
+    coarse = _overlap_matrix(f, cutoff, sigma, rule)
+    fine = _overlap_matrix(f, cutoff, sigma, gauss_hermite(2 * rule.order))
+    shift = float(np.max(np.abs(fine - coarse)))
+    if shift > CONVERGENCE_TOL:
+        warnings.warn(
+            f"coefficients <0..{cutoff}|f> moved by up to {shift:.3e} when the quadrature "
+            "order was doubled; raise the rule order",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    return SpectralState(coeffs=fine, sigma=sigma)
 
 
 def mode_probability(state, n):

@@ -58,6 +58,8 @@ NORM_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 ROUNDING_FACTOR = 16
 PROB_FLOOR = 1e-14
+#: best_precision searches this many evenly spaced interior points of (0, pi).
+PHI_GRID_POINTS = 181
 ESTIMATORS = ("jz", "jz_squared", "fisher")
 
 
@@ -221,16 +223,16 @@ def quantum_fisher_information(n_total, state=None):
     return 4.0 * (float(n**2 @ p) - mean**2)
 
 
-def best_precision(n_total, estimator, state=None, grid_points=181):
-    """Minimize delta-phi over an interior phi grid; returns (phi, estimate).
+def best_precision(n_total, estimator, state=None):
+    """Minimize delta-phi over PHI_GRID_POINTS interior phases; the estimate's
+    ``phi`` is the operating point.
 
     The whole grid is evaluated as one batch; ties go to the smallest phi.
     """
-    phis = np.linspace(0.0, np.pi, grid_points + 2)[1:-1]
+    phis = np.linspace(0.0, np.pi, PHI_GRID_POINTS + 2)[1:-1]
     value, derivative, degenerate = _estimates(n_total, phis, estimator, state)
     i = int(np.argmin(value))
-    est = PrecisionEstimate(value[i], derivative[i], degenerate[i], estimator, phis[i])
-    return float(phis[i]), est
+    return PrecisionEstimate(value[i], derivative[i], degenerate[i], estimator, phis[i])
 
 
 def precision_sweep(n_values, estimator, phi=None):
@@ -240,10 +242,10 @@ def precision_sweep(n_values, estimator, phi=None):
     rows = []
     for n_total in n_values:
         if phi is None:
-            phi_used, est = best_precision(n_total, estimator)
+            est = best_precision(n_total, estimator)
         else:
-            phi_used, est = phi, phase_precision(n_total, phi, estimator)
-        rows.append((n_total, phi_used, estimator, est))
+            est = phase_precision(n_total, phi, estimator)
+        rows.append((n_total, est.phi, estimator, est))
     return rows
 
 

@@ -42,10 +42,13 @@ __all__ = [
 
 NORM_TOL = 1e-8
 TRUNCATION_TOL = 1e-6
+#: apply_fbs_grid samples F on GRID_POINTS^2 points over +-GRID_EXTENT sigma.
+GRID_POINTS = 512
+GRID_EXTENT = 8.0
 
 
 class TruncationWarning(UserWarning):
-    """A forced output cutoff discarded more than TRUNCATION_TOL of the norm."""
+    """apply_fbs_grid's output cutoff discarded more than TRUNCATION_TOL of the norm."""
 
 
 def _check_sector_cost(k):
@@ -137,64 +140,55 @@ def _populated_kmax(coeffs):
     return int(np.max(rows + cols))
 
 
-def _resolve_cutoff(jsa, cutoff):
-    natural = max(jsa.cutoff, _populated_kmax(jsa.coeffs))
-    return natural if cutoff is None else int(cutoff)
-
-
-def _warn_truncation(lost):
-    if lost > TRUNCATION_TOL:
-        warnings.warn(
-            f"forced cutoff discarded {lost:.3e} of the squared norm",
-            TruncationWarning,
-            stacklevel=3,
-        )
-
-
-def apply_fbs(jsa, cutoff=None):
+def apply_fbs(jsa):
     """Frequency beam splitter on a JSA, exact sector-by-sector.
 
     The output matrix is enlarged so that every populated total-index sector
-    fits (k = n + m is conserved, so the map is then exact). Passing an
-    explicit smaller ``cutoff`` truncates and warns if the discarded squared
-    norm exceeds 1e-6.
+    fits (k = n + m is conserved, so the map is exact and loses no norm).
     """
-    target = _resolve_cutoff(jsa, cutoff)
     cin = jsa.coeffs
+    kmax = _populated_kmax(cin)
+    target = max(jsa.cutoff, kmax)
     out = np.zeros((target + 1, target + 1), dtype=complex)
-    for k in range(_populated_kmax(cin) + 1):
+    for k in range(kmax + 1):
         n = np.arange(max(0, k - jsa.cutoff), min(k, jsa.cutoff) + 1)
         sector = cin[n, k - n]
         if not np.any(sector):
             continue
-        r = np.arange(max(0, k - target), min(k, target) + 1)
-        out[r, k - r] = sector_matrix(k)[np.ix_(r, n)] @ sector
-    result = JointSpectralAmplitude(out, jsa.sigma)
-    _warn_truncation(jsa.norm_squared - result.norm_squared)
-    return result
+        r = np.arange(k + 1)
+        out[r, k - r] = sector_matrix(k)[:, n] @ sector
+    return JointSpectralAmplitude(out, jsa.sigma)
 
 
-def apply_fbs_grid(jsa, cutoff=None, points=512, extent=8.0):
+def apply_fbs_grid(jsa, cutoff=None):
     """Brute-force FBS: rotate sampled function values, project back.
 
-    Samples F on a ``points`` x ``points`` grid over +-``extent`` (in units of
-    sigma), evaluates F((x - y)/sqrt2, (x + y)/sqrt2), and recovers
+    Samples F on a GRID_POINTS x GRID_POINTS grid over +-GRID_EXTENT (in units
+    of sigma), evaluates F((x - y)/sqrt2, (x + y)/sqrt2), and recovers
     coefficients by Riemann-sum projection onto the basis. Independent of
-    :func:`apply_fbs`; used as its oracle.
+    :func:`apply_fbs`; used as its oracle. The output cutoff defaults to
+    apply_fbs's size; a smaller ``cutoff`` truncates and warns with
+    TruncationWarning if the discarded squared norm exceeds TRUNCATION_TOL.
     """
-    target = _resolve_cutoff(jsa, cutoff)
-    x = np.linspace(-extent, extent, points)
+    target = max(jsa.cutoff, _populated_kmax(jsa.coeffs)) if cutoff is None else int(cutoff)
+    x = np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_POINTS)
     dx = x[1] - x[0]
     grid_x, grid_y = x[:, None], x[None, :]
     u = ((grid_x - grid_y) / np.sqrt(2.0)).ravel()
     v = ((grid_x + grid_y) / np.sqrt(2.0)).ravel()
     pu = hermite_functions(jsa.cutoff, u)
     pv = hermite_functions(jsa.cutoff, v)
-    rotated = np.einsum("np,np->p", pu, jsa.coeffs @ pv).reshape(points, points)
+    rotated = np.einsum("np,np->p", pu, jsa.coeffs @ pv).reshape(GRID_POINTS, GRID_POINTS)
     pout = hermite_functions(target, x)
     coeffs = (pout * dx) @ rotated @ (pout.T * dx)
     result = JointSpectralAmplitude(coeffs, jsa.sigma)
-    _warn_truncation(jsa.norm_squared - result.norm_squared)
+    lost = jsa.norm_squared - result.norm_squared
+    if lost > TRUNCATION_TOL:
+        warnings.warn(
+            f"cutoff {target} discarded {lost:.3e} of the squared norm",
+            TruncationWarning,
+            stacklevel=2,
+        )
     return result
 
 
@@ -215,14 +209,14 @@ def mode_marginal(jsa, arm):
     raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
 
 
-def hom_output(n=1, sigma=1.0):
-    """Two photons in basis mode n, one per arm, after the beam splitter."""
+def hom_output(n=1):
+    """Two photons in unit-width basis mode n, one per arm, after the beam splitter."""
     if n < 0:
         raise ValueError("mode order must be >= 0")
     _check_sector_cost(2 * n)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
-    photon = SpectralState(coeffs=coeffs, sigma=sigma)
+    photon = SpectralState(coeffs=coeffs, sigma=1.0)
     return apply_fbs(product_jsa(photon, photon))
 
 

@@ -196,7 +196,7 @@ def test_criterion_6_phase_precision_scaling():
     for n in window:
         coeffs = np.zeros((n + 1, n + 1), dtype=complex)
         coeffs[n, 0] = 1.0
-        _, best = mt.best_precision(n, "fisher", state=tp.JointSpectralAmplitude(coeffs))
+        best = mt.best_precision(n, "fisher", state=tp.JointSpectralAmplitude(coeffs))
         lopsided.append(float(best))
     control = float(np.polyfit(np.log(window), np.log(lopsided), 1)[0])
     if -1.1 <= control <= -0.9:

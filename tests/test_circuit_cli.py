@@ -667,6 +667,51 @@ def test_cli_overflowing_state_is_refused(tmp_path, capsys):
     assert err["type"] == "error" and "finite" in err["message"]
 
 
+ILL_CONDITIONED_2 = {
+    "modes": 2,
+    "inputs": [
+        {"type": "gaussian", "width": 1e150},
+        {"type": "gaussian", "width": 1e-150},
+    ],
+    "ops": [{"gate": "fbs", "targets": [0, 1]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [(["wigner"], ["--grid=-1:1:2,-1:1:2"]), (["fgbs", "prob"], ["--pattern", "0,0"])],
+    ids=["wigner", "fgbs-prob"],
+)
+def test_cli_ill_conditioned_covariance_is_one_json_error(tmp_path, command, extra):
+    # Mixing widths 1e150 and 1e-150 rounds the covariance to a singular matrix
+    # whose mode-0 determinant overflows. A separate process shows everything
+    # written to stderr, warnings included.
+    path = write_circuit(tmp_path, ILL_CONDITIONED_2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "tfsim.cli", *command, "--circuit", path, *extra],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    err = json.loads(result.stderr)["error"]  # exactly one JSON object
+    assert err["type"] == "error" and "ill-conditioned" in err["message"]
+
+
+def test_cli_extreme_but_well_conditioned_state_is_evaluated(tmp_path, capsys):
+    # Width 1e150 alone: a diagonal covariance whose condition number is 1e600 but
+    # whose diagonally scaled one is 1, so the map is printed: exp(-w^2/s^2 - t^2 s^2)/pi.
+    path = write_circuit(tmp_path, {**VACUUM_1, "inputs": [{"type": "gaussian", "width": 1e150}]})
+    assert cli.main(["wigner", "--circuit", path, "--grid=-1e150:1e150:3,-1e-150:1e-150:3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 9
+    for omega, t, value in (map(float, row) for row in rows):
+        expected = math.exp(-((omega / 1e150) ** 2) - (t * 1e150) ** 2) / math.pi
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "tfsim.cli", "hom", "--n", "0"],

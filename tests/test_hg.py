@@ -199,6 +199,15 @@ def test_overlap_warns_when_rule_is_too_coarse():
         hg.hg_overlap(f, 0, 1.0, hg.gauss_hermite(16))
 
 
+def test_overlap_warns_when_a_lower_coefficient_moves():
+    # An even, narrow Gaussian: <1|f> is 0 at every order by symmetry, but
+    # <0|f> moves when the order-18 rule is doubled, and the overlap checks 0..n.
+    f = lambda w: (np.pi * 0.12**2) ** -0.25 * np.exp(-(w**2) / (2 * 0.12**2))
+    with pytest.warns(hg.AccuracyWarning, match=r"<0\.\.1\|f>"):
+        overlap = hg.hg_overlap(f, 1, 1.0, hg.gauss_hermite(18))
+    assert abs(overlap) < 1e-12
+
+
 def test_overlap_does_not_warn_on_smooth_function():
     f = lambda w: (np.pi * 1.3**2) ** -0.25 * np.exp(-(w**2) / (2 * 1.3**2))
     with warnings.catch_warnings():
@@ -285,15 +294,9 @@ def test_spectral_state_norm_and_deficit():
 
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):  # nodes not increasing
-        hg.QuadratureRule(
-            nodes=np.array([1.0, -1.0]), scaled_weights=np.array([1.0, 1.0]), order=2
-        )
+        hg.QuadratureRule(nodes=np.array([1.0, -1.0]), scaled_weights=np.array([1.0, 1.0]))
     for bad in (-1.0, 0.0, np.nan, np.inf):  # non-positive or non-finite weight
         with pytest.raises(ValueError):
-            hg.QuadratureRule(
-                nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, bad]), order=2
-            )
-    with pytest.raises(ValueError):  # order does not match node count
-        hg.QuadratureRule(
-            nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, 1.0]), order=3
-        )
+            hg.QuadratureRule(nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, bad]))
+    rule = hg.QuadratureRule(nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, 1.0]))
+    assert rule.order == len(rule.nodes) == 2

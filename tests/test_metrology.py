@@ -226,9 +226,9 @@ def test_quantum_fisher_information_twin_value():
 
 def test_best_fisher_precision_saturates_quantum_bound():
     for n_total in (2, 4, 6, 8):
-        phi, est = mt.best_precision(n_total, "fisher")
+        est = mt.best_precision(n_total, "fisher")
         bound = mt.quantum_fisher_information(n_total) ** -0.5
-        assert 0.0 < phi < np.pi
+        assert 0.0 < est.phi < np.pi
         assert float(est) == pytest.approx(bound, rel=1e-9)
 
 
@@ -236,16 +236,15 @@ def test_best_precision_equals_minimum_of_single_phase_calls():
     # The batched grid evaluation against one phase_precision call per phi,
     # on the twin probe and on a state with first moments.
     lopsided = random_sector_state(np.random.default_rng(17), 6)
-    phis = np.linspace(0.0, np.pi, 183)[1:-1]
+    phis = np.linspace(0.0, np.pi, mt.PHI_GRID_POINTS + 2)[1:-1]
     for state in (mt.twin_state(6), lopsided):
         for estimator in mt.ESTIMATORS:
             single = [mt.phase_precision(6, phi, estimator, state=state) for phi in phis]
             expected = min(single, key=float)
-            phi, est = mt.best_precision(6, estimator, state=state)
+            est = mt.best_precision(6, estimator, state=state)
             assert float(est) == pytest.approx(float(expected), rel=1e-12)
             assert est.degenerate == expected.degenerate
-            at_phi = single[list(phis).index(phi)]
-            assert est.phi == phi
+            at_phi = single[list(phis).index(est.phi)]
             assert float(est) == pytest.approx(float(at_phi), rel=1e-12)
             assert est.degenerate == at_phi.degenerate
             assert est.derivative == pytest.approx(at_phi.derivative, rel=1e-9, abs=1e-12)
@@ -294,7 +293,7 @@ def test_error_propagation_never_beats_the_fisher_bound():
             assert np.array_equal(np.isinf(value), degenerate)
             if state is None and estimator == "jz":
                 assert degenerate.all()
-    _, est = mt.best_precision(2, "jz_squared")
+    est = mt.best_precision(2, "jz_squared")
     assert float(est) == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
 

@@ -236,7 +236,7 @@ def test_forced_cutoff_warns_when_norm_is_lost():
     c[1, 1] = 1.0
     jsa = tp.JointSpectralAmplitude(coeffs=c)
     with pytest.warns(tp.TruncationWarning):
-        out = tp.apply_fbs(jsa, cutoff=1)
+        out = tp.apply_fbs_grid(jsa, cutoff=1)
     assert out.cutoff == 1
     assert out.norm_squared < 1e-12
 
@@ -247,7 +247,7 @@ def test_no_warning_when_nothing_is_lost():
     jsa = tp.hom_output(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", tp.TruncationWarning)
-        tp.apply_fbs(jsa, cutoff=3)
+        tp.apply_fbs_grid(jsa, cutoff=3)
 
 
 def test_coincidence_probability_range_checks():
