@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SchemaError, UnknownGateError
+from .exceptions import SchemaError, UnknownGateError, _check_cost
 from .gaussian import GATES, GaussianTFState, _step
 
 __all__ = [
@@ -194,9 +194,11 @@ def gate_ops(spec):
 def run_circuit(spec):
     """Execute the circuit on the vacuum and return the final Gaussian state.
 
-    Each step updates only the rows and columns of its targets; the state is
+    The (2N)^2 covariance entries are charged to the cost guard before anything is
+    allocated. Each step updates only its targets' rows and columns; the state is
     validated once, at the end.
     """
+    _check_cost((2 * spec.modes) ** 2, f"circuit of {spec.modes} modes")
     mean = np.zeros(2 * spec.modes)
     cov = 0.5 * np.eye(2 * spec.modes)
     for op in gate_ops(spec):

@@ -339,11 +339,9 @@ def husimi_eval(state, point, mode=None):
     alpha = np.atleast_1d(np.asarray(point, dtype=complex))
     if alpha.shape != (n,):
         raise ValueError(f"point must supply {n} complex value(s)")
-    x = np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag])
-    sigma_q = state.cov + 0.5 * np.eye(2 * n)
-    d = x - state.mean
-    quad = float(d @ np.linalg.solve(sigma_q, d))
-    return float(np.exp(-0.5 * quad) / (np.pi ** n * np.sqrt(np.linalg.det(sigma_q))))
+    d = np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag]) - state.mean
+    inv, det = _inverse_and_det(state.cov + 0.5 * np.eye(2 * n), "Husimi covariance")
+    return float(np.exp(-0.5 * (d @ inv @ d)) / (np.pi ** n * np.sqrt(det)))
 
 
 def wigner_csv_text(state, grid, mode=0, path=None):

@@ -12,7 +12,8 @@ polynomial times the Gaussian; the weighted three-term recurrence
 
     psi_{n+1}(x) = x sqrt(2/(n+1)) psi_n(x) - sqrt(n/(n+1)) psi_{n-1}(x)
 
-is used instead, which stays finite and accurate at large ``n`` and ``|x|``.
+is used instead, which stays finite and accurate at large ``n`` and ``|x|`` (past
+|x| = 37.6, where psi_0 underflows, it carries a power of two, as the quadrature does).
 
 Overlaps use the order-n Gauss-Hermite rule of :func:`gauss_hermite`: the
 square roots of the eigenvalues of the (n//2)-square Laguerre Jacobi matrix
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,15 +98,22 @@ class QuadratureRule:
         return self.scaled_weights * np.exp(-self.nodes**2)
 
 
-def _scaled_tail(n, x):
-    """psi_{n-1}(x), psi_n(x) as mantissas times 2**exponent times pi^(-1/4) e^(-x^2/2)."""
+def _scaled_rows(n, x):
+    """Yield psi_{k-1}(x), psi_k(x) for k = 0..n (psi_{-1} = 0) as mantissas times
+    2**exponent times pi^(-1/4) e^(-x^2/2)."""
     lo, hi, exponent = np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
+    yield lo, hi, exponent
     for k in range(n):
         lo, hi = hi, (math.sqrt(2.0 / (k + 1)) * x) * hi - math.sqrt(k / (k + 1)) * lo
         if k % 32 == 31:
             shift = np.frexp(np.abs(lo) + np.abs(hi))[1]
             lo, hi, exponent = np.ldexp(lo, -shift), np.ldexp(hi, -shift), exponent + shift
-    return lo, hi, exponent
+        yield lo, hi, exponent
+
+
+def _log_magnitude(mantissa, exponent, x):
+    """log(pi^(1/4) |psi|) of a psi that _scaled_rows gives as mantissa and exponent at x."""
+    return np.log(np.abs(mantissa)) + math.log(2.0) * exponent - 0.5 * x * x
 
 
 def gauss_hermite(order):
@@ -118,9 +127,8 @@ def gauss_hermite(order):
     jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), 1)
     x = np.concatenate(([0.0] * (order % 2), np.sqrt(np.linalg.eigvalsh(jacobi, UPLO="U"))))
     for _ in range(2):  # W comes from the pass before the last step, which moves x by ~eps
-        lo, hi, exponent = _scaled_tail(order, x)
-        log_psi = np.log(np.abs(lo)) + math.log(2.0) * exponent - 0.5 * x * x
-        scaled = math.sqrt(math.pi) / order * np.exp(-2.0 * log_psi)
+        lo, hi, exponent = deque(_scaled_rows(order, x), maxlen=1)[0]
+        scaled = math.sqrt(math.pi) / order * np.exp(-2.0 * _log_magnitude(lo, exponent, x))
         x = x - hi / (math.sqrt(2.0 * order) * lo - x * hi)
     return QuadratureRule(
         np.concatenate((-x[::-1][:half], x)), np.concatenate((scaled[::-1][:half], scaled))
@@ -142,6 +150,16 @@ def hermite_functions(nmax, x):
         out[1] = x * np.sqrt(2.0) * out[0]
     for n in range(1, nmax):
         out[n + 1] = x * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
+    # Past |x| = 37.6 the seed is subnormal or 0 and the rows lose their digits: rebuild
+    # them from _scaled_rows. Where that overflows (|x| > ~1e9) every row underflows to 0.
+    rows = out.reshape(nmax + 1, -1)
+    tail = np.flatnonzero(rows[0] < np.finfo(float).tiny)
+    if tail.size:
+        xt = x.ravel()[tail]
+        with np.errstate(all="ignore"):
+            for k, (_, hi, exponent) in enumerate(_scaled_rows(nmax, xt)):
+                value = np.pi**-0.25 * np.sign(hi) * np.exp(_log_magnitude(hi, exponent, xt))
+                rows[k, tail] = np.where(np.isfinite(value), value, rows[k, tail])
     return out
 
 
@@ -163,7 +181,7 @@ def hg_value(n, sigma, omega):
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
-    if sigma <= 0:
+    if not 0.0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
     x = np.asarray(omega, dtype=float) / sigma
     value = hermite_functions(n, x)[n] / np.sqrt(sigma)
@@ -210,7 +228,7 @@ class SpectralState:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if coeffs.ndim != 1 or len(coeffs) == 0:
             raise ValueError("coeffs must be a non-empty 1-d array")
-        if self.sigma <= 0:
+        if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive")
         norm = float(np.sum(np.abs(coeffs) ** 2))
         if norm > 1.0 + 1e-8:
@@ -258,7 +276,7 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if sigma <= 0:
+    if not 0.0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
     minimum = 2 * cutoff + MIN_ORDER_MARGIN
     if rule is None:

@@ -4,10 +4,10 @@ The probe is a :class:`~tfsim.twophoton.JointSpectralAmplitude` supported on
 one total-index sector k = n + m = N; the interferometer is the frequency
 beam splitter (:func:`~tfsim.twophoton.apply_fbs`) -> index phase
 e^{i n phi} on arm a -> beam splitter. Every estimator reads the N+1 sector
-amplitudes chi[n] = C[n, N-n]. The angular-momentum picture maps the two
-arms onto a spin j = N/2: J_z is half the index difference, J_x/J_y the
-exchange generators (built in :func:`j_operators` so that [J_x, J_y] = i J_z
-and cyclic).
+amplitudes chi[n] = C[n, N-n] (the sector slice :mod:`tfsim.twophoton` also
+reads). The angular-momentum picture maps the two arms onto a spin j = N/2:
+J_z is half the index difference and J_x, J_y the exchange generators; the
+beam splitter is the rotation e^{i pi J_x / 2} of :func:`~tfsim.twophoton.sector_matrix`.
 
 With the beam-splitter convention of :mod:`tfsim.twophoton` (the one fixed
 by the (|2,0> - |0,2>)/sqrt2 image of |1,1>), the Heisenberg-picture
@@ -25,24 +25,20 @@ information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._text import emit, floats, ints, table_text, texts
-from .hg import SpectralState
 from .twophoton import (
     JointSpectralAmplitude,
     _check_sector_cost,
+    _pair,
+    _sector,
     apply_fbs,
-    product_jsa,
     sector_matrix,
 )
 
 __all__ = [
-    "JOperators",
     "PrecisionEstimate",
-    "j_operators",
     "twin_state",
     "interferometer",
     "phase_precision",
@@ -63,41 +59,11 @@ PHI_GRID_POINTS = 181
 ESTIMATORS = ("jz", "jz_squared", "fisher")
 
 
-@dataclass(frozen=True)
-class JOperators:
-    """J_x, J_y, J_z on the total-index-N sector ((N+1) x (N+1) Hermitian)."""
-
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    n_total: int
-
-
-def j_operators(n_total):
-    """Angular-momentum matrices for two arms at fixed total index N.
-
-    Sector basis is |n>_a |N-n>_b, n = 0..N; J_z = diag(n - N/2), and the
-    raising operator moves an index quantum from arm b to arm a.
-    """
-    if n_total < 0:
-        raise ValueError("total index must be >= 0")
-    n = np.arange(n_total + 1)
-    jz = np.diag(n - n_total / 2.0).astype(complex)
-    jp = np.diag(np.sqrt((n[:-1] + 1.0) * (n_total - n[:-1])), -1).astype(complex)
-    jx = (jp + jp.conj().T) / 2.0
-    jy = (jp - jp.conj().T) / 2.0j
-    return JOperators(jx=jx, jy=jy, jz=jz, n_total=n_total)
-
-
 def twin_state(n_total):
     """Both photons in HG mode N/2, one per arm: the input pair of hom_output(N/2)."""
     if n_total < 2 or n_total % 2:
         raise ValueError("total index must be an even integer >= 2")
-    _check_sector_cost(n_total)
-    coeffs = np.zeros(n_total // 2 + 1, dtype=complex)
-    coeffs[-1] = 1.0
-    photon = SpectralState(coeffs=coeffs, sigma=1.0)
-    return product_jsa(photon, photon)
+    return _pair(n_total // 2)
 
 
 def _probe(n_total, state):
@@ -115,9 +81,9 @@ def _probe(n_total, state):
         raise ValueError(f"state norm {norm} is not 1")
     if sector != n_total:
         raise ValueError("state total index does not match n_total")
-    n = np.arange(max(0, n_total - jsa.cutoff), min(n_total, jsa.cutoff) + 1)
+    n, amplitudes = _sector(coeffs, n_total)
     chi = np.zeros(n_total + 1, dtype=complex)
-    chi[n] = coeffs[n, n_total - n]
+    chi[n] = amplitudes
     return chi
 
 
@@ -193,6 +159,13 @@ def _estimates(n_total, phis, estimator, state):
     return value, derivative, degenerate
 
 
+def _best(n_total, phis, estimator, state):
+    """The PrecisionEstimate of least delta-phi over ``phis``; ties go to the first."""
+    value, derivative, degenerate = _estimates(n_total, phis, estimator, state)
+    i = int(np.argmin(value))
+    return PrecisionEstimate(value[i], derivative[i], degenerate[i], estimator, phis[i])
+
+
 def phase_precision(n_total, phi, estimator, state=None):
     """Phase uncertainty delta-phi of one estimator at operating point phi.
 
@@ -205,8 +178,7 @@ def phase_precision(n_total, phi, estimator, state=None):
     """
     if not 0.0 < phi < np.pi:
         raise ValueError("phi must lie in the open interval (0, pi)")
-    value, derivative, degenerate = _estimates(n_total, [phi], estimator, state)
-    return PrecisionEstimate(value[0], derivative[0], degenerate[0], estimator, phi)
+    return _best(n_total, [phi], estimator, state)
 
 
 def quantum_fisher_information(n_total, state=None):
@@ -229,10 +201,7 @@ def best_precision(n_total, estimator, state=None):
 
     The whole grid is evaluated as one batch; ties go to the smallest phi.
     """
-    phis = np.linspace(0.0, np.pi, PHI_GRID_POINTS + 2)[1:-1]
-    value, derivative, degenerate = _estimates(n_total, phis, estimator, state)
-    i = int(np.argmin(value))
-    return PrecisionEstimate(value[i], derivative[i], degenerate[i], estimator, phis[i])
+    return _best(n_total, np.linspace(0.0, np.pi, PHI_GRID_POINTS + 2)[1:-1], estimator, state)
 
 
 def precision_sweep(n_values, estimator, phi=None):

@@ -96,7 +96,7 @@ class JointSpectralAmplitude:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
             raise ValueError("coeffs must be a square matrix")
-        if self.sigma <= 0:
+        if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive")
         norm = float(np.sum(np.abs(coeffs) ** 2))
         if norm > 1.0 + NORM_TOL:
@@ -133,6 +133,24 @@ def product_jsa(a, b):
     return JointSpectralAmplitude(np.outer(ca, cb), a.sigma)
 
 
+def _pair(n):
+    """Two photons in unit-width basis mode n, one per arm: the sector-2n product pair."""
+    if n < 0:
+        raise ValueError("mode order must be >= 0")
+    _check_sector_cost(2 * n)
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[n] = 1.0
+    photon = SpectralState(coeffs=coeffs, sigma=1.0)
+    return product_jsa(photon, photon)
+
+
+def _sector(coeffs, k):
+    """Arm-a indices n of the sector n + m = k of a square ``coeffs``, and coeffs[n, k - n]."""
+    cutoff = coeffs.shape[0] - 1
+    n = np.arange(max(0, k - cutoff), min(k, cutoff) + 1)
+    return n, coeffs[n, k - n]
+
+
 def _populated_kmax(coeffs):
     rows, cols = np.nonzero(coeffs)
     if rows.size == 0:
@@ -146,13 +164,11 @@ def apply_fbs(jsa):
     The output matrix is enlarged so that every populated total-index sector
     fits (k = n + m is conserved, so the map is exact and loses no norm).
     """
-    cin = jsa.coeffs
-    kmax = _populated_kmax(cin)
+    kmax = _populated_kmax(jsa.coeffs)
     target = max(jsa.cutoff, kmax)
     out = np.zeros((target + 1, target + 1), dtype=complex)
     for k in range(kmax + 1):
-        n = np.arange(max(0, k - jsa.cutoff), min(k, jsa.cutoff) + 1)
-        sector = cin[n, k - n]
+        n, sector = _sector(jsa.coeffs, k)
         if not np.any(sector):
             continue
         r = np.arange(k + 1)
@@ -211,13 +227,7 @@ def mode_marginal(jsa, arm):
 
 def hom_output(n=1):
     """Two photons in unit-width basis mode n, one per arm, after the beam splitter."""
-    if n < 0:
-        raise ValueError("mode order must be >= 0")
-    _check_sector_cost(2 * n)
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    photon = SpectralState(coeffs=coeffs, sigma=1.0)
-    return apply_fbs(product_jsa(photon, photon))
+    return apply_fbs(_pair(n))
 
 
 def jsa_to_csv(jsa, path=None):

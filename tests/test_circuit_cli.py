@@ -443,6 +443,19 @@ def test_cli_cost_guard_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"]["type"] == "cost-guard"
 
 
+def test_cli_circuit_size_is_charged_before_allocation(tmp_path, capsys, monkeypatch):
+    # A 2-mode circuit's 4 x 4 covariance costs (2N)^2 = 16 units.
+    path = write_circuit(tmp_path, MIXER_2)
+    monkeypatch.setenv("TFSIM_MAX_COST", "15")
+    assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "0,0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "cost-guard" and "circuit of 2 modes costs 16" in err["message"]
+    monkeypatch.setenv("TFSIM_MAX_COST", "16")
+    assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "0,0"]) == 0
+
+
 def test_cli_fgbs_prob_thirty_photon_pairs(tmp_path, capsys):
     # TMSV of width 3: P(30, 30) = tanh(ln 3)^60 / cosh(ln 3)^2 = 5.516983947e-7.
     doc = {

