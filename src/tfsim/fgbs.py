@@ -83,25 +83,27 @@ def build_distribution(state):
 
     Displaced states are rejected: their probabilities would need loop
     hafnians, which are out of scope. So is an ill-conditioned Sigma_Q, whose
-    inverse and determinant would be rounding noise.
+    inverse and determinant would be rounding noise. Costs one inverse, one
+    determinant (and purity's) and one real eigensolve: X permutes rows and W is
+    unitary, so ||A||_2 = max |lam - 1/2| / (lam + 1/2) over lam in eig(Sigma),
+    a bound on A's spectral radius that is < 1 iff Sigma > 0. Validation admits
+    Sigma <= 0 only within UNCERTAINTY_TOL, so only such states are refused.
     """
     if float(np.max(np.abs(state.mean))) > MEAN_TOL:
         raise ValueError("displaced states are not supported; mean must be zero")
     n = state.n_modes
     eye = np.eye(2 * n)
     sigma_q = to_complex_covariance(state) + 0.5 * eye
-    swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     inv, det = _inverse_and_det(sigma_q, "Husimi covariance Sigma_Q")
-    a = swap @ (eye - inv)
+    a = (eye - inv)[np.r_[n:2 * n, 0:n]]
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10:
         raise ArithmeticError(f"A matrix lost its symmetry (defect {asym:.3e})")
     a = (a + a.T) / 2.0
-    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
-    if radius >= 1.0:
-        raise ValueError(
-            f"spectral radius of A is {radius:.6f} >= 1; distribution not normalizable"
-        )
+    lam = np.linalg.eigvalsh(state.cov)
+    norm = float(np.max(np.abs(lam - 0.5) / (lam + 0.5)))
+    if not norm < 1.0:
+        raise ValueError(f"norm of A is {norm:.6f} >= 1; distribution not normalizable")
     prefactor = 1.0 / math.sqrt(abs(det))
     return FgbsDistribution(
         a_matrix=a,

@@ -87,15 +87,18 @@ class GaussianTFState:
             raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        omega = symplectic_form(mean.size // 2)
-        herm = cov + 0.5j * omega
-        min_eig = float(np.linalg.eigvalsh((herm + herm.conj().T) / 2.0).min())
-        if min_eig < -UNCERTAINTY_TOL:
-            raise ValueError(
-                f"covariance violates the uncertainty relation (min eig {min_eig:.3e})"
-            )
+        cov = (cov + cov.T) / 2.0
+        herm = cov + 0.5j * symplectic_form(mean.size // 2)
+        try:  # a Cholesky factor exists iff every eigenvalue exceeds -UNCERTAINTY_TOL
+            np.linalg.cholesky(herm + UNCERTAINTY_TOL * np.eye(mean.size))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(herm).min())
+            if min_eig < -UNCERTAINTY_TOL:
+                raise ValueError(
+                    f"covariance violates the uncertainty relation (min eig {min_eig:.3e})"
+                ) from None
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def n_modes(self):
@@ -119,8 +122,14 @@ def mode_indices(modes, n_modes):
     return list(modes) + [n_modes + m for m in modes]
 
 
+#: Omega of the gate table's 1- and 2-mode blocks, built once (read-only).
+_BLOCK_FORMS = {n: symplectic_form(n) for n in (1, 2)}
+for _form in _BLOCK_FORMS.values():
+    _form.setflags(write=False)
+
+
 def _check_symplectic(matrix, what):
-    omega = symplectic_form(matrix.shape[0] // 2)
+    omega = _BLOCK_FORMS[matrix.shape[0] // 2]
     defect = float(np.max(np.abs(matrix.T @ omega @ matrix - omega)))
     if not defect <= SYMPLECTIC_TOL:
         raise ValueError(f"{what} is not symplectic (defect {defect:.3e})")

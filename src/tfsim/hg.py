@@ -144,6 +144,8 @@ def hermite_functions(nmax, x):
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     x = np.asarray(x, dtype=float)
+    at_inf = np.isinf(x)
+    x = np.where(at_inf, 0.0, x)  # psi_n(+-inf) = 0 for every n: set below; NaN stays NaN
     out = np.zeros((nmax + 1,) + x.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if nmax >= 1:
@@ -160,6 +162,7 @@ def hermite_functions(nmax, x):
             for k, (_, hi, exponent) in enumerate(_scaled_rows(nmax, xt)):
                 value = np.pi**-0.25 * np.sign(hi) * np.exp(_log_magnitude(hi, exponent, xt))
                 rows[k, tail] = np.where(np.isfinite(value), value, rows[k, tail])
+    out[:, at_inf] = 0.0
     return out
 
 

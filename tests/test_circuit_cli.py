@@ -748,3 +748,16 @@ def test_cli_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_fgbs_prob_refuses_a_sigma_inside_the_uncertainty_tolerance(
+        tmp_path, capsys, monkeypatch):
+    # A covariance accepted only within UNCERTAINTY_TOL (Sigma has eigenvalue
+    # -1e-11) has no normalizable FGBS kernel: a JSON error with exit code 1.
+    path = write_circuit(tmp_path, {"modes": 1, "inputs": [
+        {"type": "gaussian", "width": 1.0}], "ops": []})
+    edge = g.GaussianTFState(np.zeros(2), np.diag([1e10, -1e-11]))
+    monkeypatch.setattr(cli, "run_circuit", lambda spec: edge)
+    assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "0"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "not normalizable" in error["message"]

@@ -402,3 +402,70 @@ def test_distribution_prefactor_matches_purity():
     # Symmetric kernel with spectral radius below 1.
     assert np.max(np.abs(dist.a_matrix - dist.a_matrix.T)) < 1e-12
     assert np.max(np.abs(np.linalg.eigvals(dist.a_matrix))) < 1.0
+
+
+def dense_kernel(sigma_q):
+    """X (I - Sigma_Q^-1) as a dense product with X = [[0, I], [I, 0]], symmetrised."""
+    n = sigma_q.shape[0] // 2
+    swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    a = swap @ (np.eye(2 * n) - np.linalg.inv(sigma_q))
+    return (a + a.T) / 2.0
+
+
+def sigma_norm_bound(state):
+    """max |lam - 1/2| / (lam + 1/2) over the eigenvalues lam of Sigma."""
+    lam = np.linalg.eigvalsh(state.cov)
+    return float(np.max(np.abs(lam - 0.5) / (lam + 0.5)))
+
+
+def kernel_states():
+    rng = np.random.default_rng(61)
+    for trial in range(24):
+        n = trial % 4 + 1
+        state = g.vacuum_state(n)
+        for _ in range(6):
+            mode = int(rng.integers(n))
+            if n > 1 and rng.random() < 0.4:
+                state = g.apply(state, "fbs", (mode, (mode + 1) % n))
+            elif rng.random() < 0.5:
+                state = g.apply(state, "frft", (mode,), phi=float(rng.uniform(0, 2 * np.pi)))
+            else:
+                state = g.apply(state, "scale", (mode,), s=float(rng.uniform(0.5, 2.0)))
+        if trial % 3 == 0:  # mixed
+            state = g.GaussianTFState(state.mean, state.cov + 0.2 * np.eye(2 * n))
+        yield state
+    yield ct.run_circuit(ct.parse_circuit(json.dumps(wide_pure_circuit(seed=9))))
+
+
+def test_kernel_is_the_dense_block_swap_byte_for_byte():
+    # build_distribution permutes the rows of I - Sigma_Q^-1 instead of
+    # multiplying by X; the product only adds exact zeros, so A is unchanged.
+    for state in kernel_states():
+        a = fgbs.build_distribution(state).a_matrix
+        n = state.n_modes
+        sigma_q = g.to_complex_covariance(state) + 0.5 * np.eye(2 * n)
+        assert np.array_equal(a, dense_kernel(sigma_q)), n
+        # And from Sigma_Q = W Sigma W^dagger + I/2 built with the dense W.
+        eye = np.eye(n)
+        w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)
+        sigma_q = w @ state.cov @ w.conj().T + 0.5 * np.eye(2 * n)
+        assert np.max(np.abs(a - dense_kernel(sigma_q))) < 1e-12
+
+
+def test_sigma_norm_bound_is_the_kernel_norm_and_bounds_its_spectral_radius():
+    for state in kernel_states():
+        a = fgbs.build_distribution(state).a_matrix
+        bound = sigma_norm_bound(state)
+        assert bound < 1.0
+        assert bound >= float(np.max(np.abs(np.linalg.eigvals(a)))) - 1e-12
+        assert bound == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=1e-14)
+
+
+def test_sigma_inside_the_uncertainty_tolerance_is_not_normalizable():
+    # Sigma + i Omega / 2 has min eigenvalue -1e-11, inside UNCERTAINTY_TOL, so the
+    # state is accepted; but Sigma itself is not positive, so ||A|| > 1. The
+    # spectral radius of A is 0.9999999999 here, which a radius check would pass.
+    state = g.GaussianTFState(np.zeros(2), np.diag([1e10, -1e-11]))
+    assert sigma_norm_bound(state) > 1.0
+    with pytest.raises(ValueError, match="norm of A is .* >= 1"):
+        fgbs.build_distribution(state)

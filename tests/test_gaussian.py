@@ -227,6 +227,16 @@ def test_covariance_validation():
         g.GaussianTFState(np.zeros(3), 0.5 * np.eye(3))
 
 
+def test_uncertainty_boundary_is_the_validation_tolerance():
+    # (0.5 - delta) I + i Omega / 2 has min eigenvalue -delta; UNCERTAINTY_TOL is 1e-10.
+    for n_modes in (1, 3):
+        eye = np.eye(2 * n_modes)
+        state = g.GaussianTFState(np.zeros(2 * n_modes), (0.5 - 0.5e-10) * eye)
+        assert np.array_equal(state.cov, (0.5 - 0.5e-10) * eye)
+        with pytest.raises(ValueError, match=r"uncertainty relation \(min eig -2.000e-10\)"):
+            g.GaussianTFState(np.zeros(2 * n_modes), (0.5 - 2e-10) * eye)
+
+
 def test_non_finite_state_rejected():
     with pytest.raises(ValueError, match="finite"):
         g.GaussianTFState(np.zeros(2), [[np.inf, 0.0], [0.0, 0.5]])

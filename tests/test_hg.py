@@ -79,6 +79,22 @@ def test_hg_value_high_order_mpmath_cross_check():
         assert hg.hg_value(n, 1.0, x) == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
 
+def test_hermite_functions_vanish_at_infinity():
+    # psi_n(+-inf) = 0 for every row, with no inf * 0 warning; NaN stays NaN and
+    # the finite columns keep their bytes.
+    x = np.array([0.3, np.inf, -2.0, -np.inf, np.nan, 45.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = hg.hermite_functions(50, x)
+        for n in range(51):
+            assert hg.hg_value(n, 1.0, np.inf) == 0.0
+            assert hg.hg_value(n, 2.5, -np.inf) == 0.0
+    assert np.array_equal(table[:, [1, 3]], np.zeros((51, 2)))
+    assert np.isnan(table[:, 4]).all()
+    assert np.array_equal(table[:, [0, 2, 5]], hg.hermite_functions(50, x[[0, 2, 5]]))
+    assert np.array_equal(hg.hermite_functions(3, np.inf), np.zeros(4))
+
+
 def test_hermite_functions_table_matches_scalar():
     x = np.linspace(-5.0, 5.0, 11)
     table = hg.hermite_functions(6, x)
