@@ -16,8 +16,9 @@ The "schema" key may be omitted on input and defaults to "tfsim/1";
 unknown gates, wrong arities, and non-finite numbers are rejected with a
 :class:`~tfsim.exceptions.SchemaError` that names the offending location.
 
-Gate names, target counts, parameter names and parameter constraints all come
-from the gate table :data:`tfsim.gaussian.GATES`. Each input mode starts as a
+Gate names and target counts come from the gate table :data:`tfsim.gaussian.GATES`;
+parameters, and each input width as a scale factor, pass its one check,
+:func:`tfsim.gaussian.gate_block`, at parse time. Each input mode starts as a
 Gaussian of the given spectral width (width 1 is the reference vacuum),
 implemented as a bandwidth-scaling gate on the unit vacuum; the ops then run
 in order. :func:`gate_ops` lists these steps as :class:`GateSpec` entries, the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SchemaError, UnknownGateError, _check_cost
-from .gaussian import GATES, GaussianTFState, _step
+from .gaussian import GATES, GaussianTFState, _step, gate_block
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -76,15 +77,21 @@ def _require_keys(obj, required, optional, location):
         raise SchemaError(f"missing keys {missing}", location=location)
 
 
-def _number(value, location, positive=False):
+def _number(value, location):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a number", location=location)
     value = float(value)
     if not math.isfinite(value):
         raise SchemaError("number must be finite", location=location)
-    if positive and value <= 0.0:
-        raise SchemaError("number must be positive", location=location)
     return value
+
+
+def _check_gate(gate, params, location):
+    """Refuse, at ``location``, parameters that :func:`tfsim.gaussian.gate_block` refuses."""
+    try:
+        gate_block(gate, params)
+    except ValueError as exc:
+        raise SchemaError(str(exc), location=location) from exc
 
 
 def _parse_input(entry, mode):
@@ -97,7 +104,9 @@ def _parse_input(entry, mode):
             f"unknown input type {entry['type']!r}; only 'gaussian' is supported",
             location=f"{location}.type",
         )
-    return _number(entry["width"], f"{location}.width", positive=True)
+    width = _number(entry["width"], f"{location}.width")
+    _check_gate("scale", {"s": width}, f"{location}.width")
+    return width
 
 
 def _parse_op(entry, index, modes):
@@ -108,7 +117,7 @@ def _parse_op(entry, index, modes):
     gate = entry["gate"]
     if not isinstance(gate, str) or gate not in GATES:
         raise UnknownGateError(f"unknown gate {gate!r}", location=f"{location}.gate")
-    arity, param_names = GATES[gate].arity, GATES[gate].params
+    arity = GATES[gate].arity
     targets = entry["targets"]
     if not isinstance(targets, list) or len(targets) != arity:
         raise SchemaError(
@@ -126,14 +135,11 @@ def _parse_op(entry, index, modes):
     if len(set(clean_targets)) != arity:
         raise SchemaError("targets must be distinct", location=f"{location}.targets")
     raw_params = entry.get("params", {})
+    location = f"{location}.params"
     if not isinstance(raw_params, dict):
-        raise SchemaError("expected an object", location=f"{location}.params")
-    _require_keys(raw_params, param_names, (), f"{location}.params")
-    params = {name: _number(raw_params[name], f"{location}.params.{name}") for name in param_names}
-    try:
-        GATES[gate].build(**params)
-    except ValueError as exc:
-        raise SchemaError(str(exc), location=f"{location}.params") from exc
+        raise SchemaError("expected an object", location=location)
+    params = {name: _number(value, f"{location}.{name}") for name, value in raw_params.items()}
+    _check_gate(gate, params, location)
     return GateSpec(gate=gate, targets=tuple(clean_targets), params=params)
 
 

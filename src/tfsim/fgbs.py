@@ -84,10 +84,11 @@ def build_distribution(state):
     Displaced states are rejected: their probabilities would need loop
     hafnians, which are out of scope. So is an ill-conditioned Sigma_Q, whose
     inverse and determinant would be rounding noise. Costs one inverse, one
-    determinant (and purity's) and one real eigensolve: X permutes rows and W is
-    unitary, so ||A||_2 = max |lam - 1/2| / (lam + 1/2) over lam in eig(Sigma),
-    a bound on A's spectral radius that is < 1 iff Sigma > 0. Validation admits
-    Sigma <= 0 only within UNCERTAINTY_TOL, so only such states are refused.
+    determinant and one real eigensolve: X permutes rows and W is unitary, so
+    ||A||_2 = max |lam - 1/2| / (lam + 1/2) over lam in eig(Sigma), a bound on
+    A's spectral radius that is < 1 iff Sigma > 0. Validation admits Sigma <= 0
+    only within UNCERTAINTY_TOL, so only such states are refused. The same lam
+    give the purity det(2 Sigma) = prod 2 lam.
     """
     if float(np.max(np.abs(state.mean))) > MEAN_TOL:
         raise ValueError("displaced states are not supported; mean must be zero")
@@ -108,7 +109,7 @@ def build_distribution(state):
     return FgbsDistribution(
         a_matrix=a,
         prefactor=prefactor,
-        is_pure=purity_defect(state) < 1e-10,
+        is_pure=abs(math.expm1(float(np.sum(np.log(2.0 * lam))))) < 1e-10,  # every lam > 0
     )
 
 

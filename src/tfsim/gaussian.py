@@ -51,7 +51,6 @@ __all__ = [
     "wigner_csv_text",
 ]
 
-SYMPLECTIC_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-10
 #: A covariance whose diagonally scaled 1-norm condition number exceeds this is refused.
 CONDITION_LIMIT = 1.0 / np.finfo(float).eps
@@ -122,25 +121,14 @@ def mode_indices(modes, n_modes):
     return list(modes) + [n_modes + m for m in modes]
 
 
-#: Omega of the gate table's 1- and 2-mode blocks, built once (read-only).
-_BLOCK_FORMS = {n: symplectic_form(n) for n in (1, 2)}
-for _form in _BLOCK_FORMS.values():
-    _form.setflags(write=False)
-
-
-def _check_symplectic(matrix, what):
-    omega = _BLOCK_FORMS[matrix.shape[0] // 2]
-    defect = float(np.max(np.abs(matrix.T @ omega @ matrix - omega)))
-    if not defect <= SYMPLECTIC_TOL:
-        raise ValueError(f"{what} is not symplectic (defect {defect:.3e})")
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+#: The fbs block, built once (read-only): H on (omega_a, omega_b) and on (t_a, t_b).
+_FBS_BLOCK = np.block([[_HADAMARD, np.zeros((2, 2))], [np.zeros((2, 2)), _HADAMARD]])
+_FBS_BLOCK.setflags(write=False)
 
 
 def _fbs_block():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    block = np.zeros((4, 4))
-    block[:2, :2] = h
-    block[2:, 2:] = h
-    return block, None
+    return _FBS_BLOCK, None
 
 
 def _frft_block(phi):
@@ -186,9 +174,19 @@ GATES = {
 
 
 def gate_block(name, params):
-    """Table block and shift of gate ``name``, checked symplectic at block size."""
-    block, shift = GATES[name].build(**params)
-    _check_symplectic(block, f"{name} block")
+    """Table block and shift of gate ``name``: the one check of a gate's parameters.
+
+    ``params`` must name exactly the table's parameters, pass the builder's own domain
+    check (``s > 0``, finite displacements) and give a finite block; else ValueError.
+    """
+    gate, names = GATES[name], params.keys()
+    if names != set(gate.params):
+        missing, unknown = sorted(set(gate.params) - names), sorted(names - set(gate.params))
+        raise ValueError(f"gate {name!r}: missing keys {missing}, unknown keys {unknown}")
+    with np.errstate(invalid="ignore"):  # cos(inf) is nan, refused below
+        block, shift = gate.build(**params)
+    if not np.isfinite(block).all():
+        raise ValueError(f"{name} block is not finite for parameters {params}")
     return block, shift
 
 

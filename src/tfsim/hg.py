@@ -30,6 +30,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,6 +53,9 @@ CONVERGENCE_TOL = 1e-10
 
 #: Contract: resolving the degree-2n weighted integrand needs at least this order.
 MIN_ORDER_MARGIN = 16
+
+#: Contract: an amplitude's squared norm may exceed 1 by at most this (rounding).
+NORM_TOL = 1e-8
 
 
 class AccuracyWarning(UserWarning):
@@ -213,28 +217,24 @@ def hg_overlap(f, n, sigma, rule=None):
 
 
 @dataclass(frozen=True)
-class SpectralState:
-    """Single-photon spectral amplitude in the Hermite-Gauss basis.
+class _Amplitude:
+    """The one amplitude contract, of PHOTONS photons over an HG basis of width ``sigma``
+    (finite, > 0): ``coeffs`` is a non-empty complex array with one axis of length
+    cutoff + 1 per photon, whose squared norm may exceed 1 by at most NORM_TOL."""
 
-    Attributes
-    ----------
-    coeffs : ndarray
-        Complex coefficients c_0..c_cutoff; sum |c_n|^2 <= 1 + 1e-8.
-    sigma : float
-        Width of the basis the coefficients refer to.
-    """
+    PHOTONS: ClassVar[int]
 
     coeffs: np.ndarray
     sigma: float
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if coeffs.ndim != 1 or len(coeffs) == 0:
-            raise ValueError("coeffs must be a non-empty 1-d array")
+        if coeffs.ndim != self.PHOTONS or coeffs.size == 0 or len(set(coeffs.shape)) != 1:
+            raise ValueError("coeffs must be a non-empty array, one equal axis per photon")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive")
         norm = float(np.sum(np.abs(coeffs) ** 2))
-        if norm > 1.0 + 1e-8:
+        if norm > 1.0 + NORM_TOL:
             raise ValueError(f"coefficient norm {norm} exceeds 1")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -248,8 +248,23 @@ class SpectralState:
 
     @property
     def deficit(self):
-        """Probability mass lying outside the truncation: 1 - sum |c_n|^2."""
+        """Probability mass lying outside the truncation: 1 - sum |c|^2."""
         return 1.0 - self.norm_squared
+
+
+@dataclass(frozen=True)
+class SpectralState(_Amplitude):
+    """Single-photon spectral amplitude in the Hermite-Gauss basis.
+
+    Attributes
+    ----------
+    coeffs : ndarray
+        Complex coefficients c_0..c_cutoff; sum |c_n|^2 <= 1 + NORM_TOL.
+    sigma : float
+        Width of the basis the coefficients refer to.
+    """
+
+    PHOTONS = 1
 
 
 def decompose(f, cutoff=16, sigma=1.0, rule=None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._text import emit, floats, ints, table_text
 from .exceptions import _check_cost
-from .hg import SpectralState, hermite_functions
+from .hg import SpectralState, _Amplitude, hermite_functions
 
 __all__ = [
     "JointSpectralAmplitude",
@@ -40,7 +40,6 @@ __all__ = [
     "jsa_to_csv",
 ]
 
-NORM_TOL = 1e-8
 TRUNCATION_TOL = 1e-6
 #: apply_fbs_grid samples F on GRID_POINTS^2 points over +-GRID_EXTENT sigma.
 GRID_POINTS = 512
@@ -81,7 +80,7 @@ def sector_matrix(k):
 
 
 @dataclass(frozen=True)
-class JointSpectralAmplitude:
+class JointSpectralAmplitude(_Amplitude):
     """Two-photon spectral state: square coefficient matrix over HG pairs.
 
     ``coeffs[n, m]`` is the amplitude on basis mode n in arm a and m in arm b;
@@ -89,31 +88,9 @@ class JointSpectralAmplitude:
     (truncation); the shortfall is exposed as ``deficit``, never renormalized.
     """
 
-    coeffs: np.ndarray
+    PHOTONS = 2
+
     sigma: float = 1.0
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError("coeffs must be a square matrix")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive")
-        norm = float(np.sum(np.abs(coeffs) ** 2))
-        if norm > 1.0 + NORM_TOL:
-            raise ValueError(f"coefficient norm {norm} exceeds 1")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def cutoff(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def norm_squared(self):
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    @property
-    def deficit(self):
-        return 1.0 - self.norm_squared
 
 
 def product_jsa(a, b):

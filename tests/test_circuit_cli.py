@@ -94,6 +94,11 @@ def test_input_validation():
         parse(doc)
     assert "$.inputs[0].width" in str(excinfo.value)
 
+    doc["inputs"][0]["width"] = 1e-310  # finite and positive, but 1/width overflows
+    with pytest.raises(SchemaError, match="not finite") as excinfo:
+        parse(doc)
+    assert "$.inputs[0].width" in str(excinfo.value)
+
     doc["inputs"][0]["width"] = True
     with pytest.raises(SchemaError):
         parse(doc)
@@ -172,6 +177,11 @@ def test_op_param_validation():
     with pytest.raises(SchemaError) as excinfo:
         parse(scale_doc)
     assert "positive" in str(excinfo.value)
+
+    scale_doc["ops"][0]["params"]["s"] = 1e-310
+    with pytest.raises(SchemaError, match="not finite") as excinfo:
+        parse(scale_doc)
+    assert "$.ops[0].params" in str(excinfo.value)
 
 
 def test_round_trip_identity():
@@ -433,6 +443,28 @@ def test_cli_schema_violation_exit_code(tmp_path, capsys):
     assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "0"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "schema-violation"
+
+
+SUBNORMAL_SCALE = {"gate": "scale", "targets": [0], "params": {"s": 1e-310}}
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ({**VACUUM_1, "ops": [SUBNORMAL_SCALE]}, "$.ops[0].params"),
+        ({**VACUUM_1, "inputs": [{"type": "gaussian", "width": 1e-310}]}, "$.inputs[0].width"),
+    ],
+    ids=["op", "width"],
+)
+def test_cli_subnormal_scale_is_a_schema_violation(tmp_path, capsys, doc, location):
+    # s = 1e-310 passes s > 0, but its block diag(s, 1/s) is not finite: exit 3 at parse.
+    path = write_circuit(tmp_path, doc)
+    assert cli.main(["wigner", "--circuit", path, "--grid=-1:1:2,-1:1:2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "schema-violation"
+    assert location in err["message"] and "not finite" in err["message"]
 
 
 def test_cli_cost_guard_exit_code(tmp_path, capsys, monkeypatch):

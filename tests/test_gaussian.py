@@ -179,17 +179,27 @@ def test_gate_symplectic_dispatch():
 
     with pytest.raises(KeyError):
         g.gate_block("squeeze", {})
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="unknown keys \\['extra'\\]"):
         g.gate_block("frft", {"phi": 0.3, "extra": 1})
 
 
-def test_gate_block_rejects_a_non_symplectic_table_entry(monkeypatch):
-    stretch = g.Gate(1, (), lambda: (np.diag([1.0, 2.0]), None))
-    monkeypatch.setitem(g.GATES, "stretch", stretch)
-    with pytest.raises(ValueError, match="not symplectic"):
-        g.gate_block("stretch", {})
-    with pytest.raises(ValueError, match="not symplectic"):
-        g.apply(g.vacuum_state(2), "stretch", (1,))
+@pytest.mark.parametrize(
+    "gate, params, match",
+    [
+        ("frft", {"phi": np.nan}, "not finite"),
+        ("frft", {"phi": np.inf}, "not finite"),
+        ("scale", {"s": np.inf}, "not finite"),
+        ("scale", {"s": 1e-310}, "not finite"),  # 1/s overflows
+        ("frft", {}, "missing keys \\['phi'\\]"),
+    ],
+    ids=["frft-nan", "frft-inf", "scale-inf", "scale-subnormal", "frft-missing-phi"],
+)
+def test_gate_block_is_the_one_parameter_check(gate, params, match):
+    # apply and run_circuit refuse through gate_block, with no RuntimeWarning.
+    with pytest.raises(ValueError, match=match):
+        g.gate_block(gate, params)
+    with pytest.raises(ValueError, match=match):
+        g.apply(g.vacuum_state(1), gate, (0,), **params)
 
 
 def test_apply_rejects_wrong_arity_unknown_gate_and_bad_target():

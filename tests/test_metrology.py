@@ -111,6 +111,8 @@ def test_two_mode_state_validation():
         mt.phase_precision(2, 1.0, "fisher", state=JointSpectralAmplitude(0.5 * good))
     with pytest.raises(ValueError, match="norm"):
         mt.phase_precision(2, 1.0, "fisher", state=JointSpectralAmplitude(np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="coeffs"):
+        mt.quantum_fisher_information(2, state=JointSpectralAmplitude(np.zeros((0, 0))))
 
 
 def test_twin_state_beam_splitter_output_is_hom_output():

@@ -276,6 +276,8 @@ def test_jsa_validation():
         tp.JointSpectralAmplitude(coeffs=np.ones((2, 2)))  # norm 4
     with pytest.raises(ValueError):
         tp.JointSpectralAmplitude(coeffs=np.eye(2) / S2, sigma=-1.0)
+    with pytest.raises(ValueError, match="coeffs"):
+        tp.JointSpectralAmplitude(coeffs=np.zeros((0, 0)))
 
 
 def test_jsa_to_csv_round_trip(tmp_path):
