@@ -8,10 +8,13 @@ pattern n = (n_1, ..., n_N) of HG mode orders the probability
 where Sigma_Q = Sigma_c + I/2 in the (alpha, alpha*) basis, A is the
 block-swapped matrix X (I - Sigma_Q^{-1}) with X = [[0, I], [I, 0]], and
 ``reduce`` repeats rows/columns i and N+i of A n_i times. The hafnians come
-from the Gaussian recurrence :func:`tfsim.hafnian.hafnian_box` on the full A,
-for pure and mixed sources alike: one pattern fills the box of its nonzero
-modes, prod (n_i + 1)^2 entries, and reads the corner; a table up to a cutoff
-c fills the (c + 1)^(2N) box once and reads its diagonal.
+from the Gaussian recurrence of :mod:`tfsim.hafnian` on the full A, for pure
+and mixed sources alike: one pattern takes the corner of the box of its
+nonzero modes from :func:`~tfsim.hafnian.hafnian_corner`, which fills only
+the part of that box of prod (n_i + 1)^2 entries the corner depends on
+(about a quarter at large equal n_i); a table up to a cutoff c fills the
+(c + 1)^(2N) box once with :func:`~tfsim.hafnian.hafnian_box` and reads its
+diagonal. The two give the same bytes for the same pattern.
 
 Everything is cross-checked against :func:`oracle_probability`, which knows
 nothing of hafnians: it reconstructs the pure-state frequency wavefunction
@@ -21,8 +24,8 @@ tensor-product Gauss-Hermite quadrature.
 Cost guards protect the hafnian evaluation, the sampler's pattern
 enumeration and its draws; the limit defaults to
 :data:`tfsim.exceptions.DEFAULT_MAX_COST` cost units (one unit = one entry of
-the recurrence box, or one shot) and is set through the TFSIM_MAX_COST
-environment variable (a non-negative decimal integer).
+the recurrence box, filled or not, or one shot) and is set through the
+TFSIM_MAX_COST environment variable (a non-negative decimal integer).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from ._text import emit, floats, ints, table_text, texts
 from .exceptions import CostGuardError, InsufficientMassError, _check_cost
 from .gaussian import _inverse_and_det, purity_defect, to_complex_covariance
-from .hafnian import _check_pattern, hafnian_box
+from .hafnian import _check_pattern, hafnian_box, hafnian_corner
 from .hg import gauss_hermite, hermite_functions
 
 __all__ = [
@@ -113,12 +116,8 @@ def build_distribution(state):
     )
 
 
-def _box_diagonal(dist, modes, cutoffs):
-    """P(n) for every n <= cutoffs on ``modes`` (others 0): one box's diagonal (n, n)."""
-    idx = list(modes) + [dist.n_modes + i for i in modes]
-    side = math.prod(c + 1 for c in cutoffs)
-    box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [c + 1 for c in cutoffs] * 2)
-    values = dist.prefactor * box.reshape(side, side).diagonal()
+def _real(values):
+    """Real part of probabilities computed in complex; an imaginary residue is refused."""
     residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_TOL:
         raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
@@ -136,7 +135,9 @@ def probability(dist, pattern):
     if dist.is_pure and sum(pattern) % 2:
         return 0.0
     active = [i for i, v in enumerate(pattern) if v]
-    return float(_box_diagonal(dist, active, [pattern[i] for i in active])[-1])
+    idx = active + [dist.n_modes + i for i in active]
+    corner = hafnian_corner(dist.a_matrix[np.ix_(idx, idx)], [pattern[i] + 1 for i in active] * 2)
+    return float(_real(dist.prefactor * corner))
 
 
 def _pure_wavefunction_params(state):
@@ -196,7 +197,8 @@ def _enumerate_probabilities(dist, cutoff):
     cost = (cutoff + 1) ** (2 * dist.n_modes)
     _check_cost(cost, f"enumerating patterns up to cutoff {cutoff}")
     patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
-    probs = _box_diagonal(dist, range(dist.n_modes), [cutoff] * dist.n_modes)
+    box = hafnian_box(dist.a_matrix, [cutoff + 1] * (2 * dist.n_modes))
+    probs = _real(dist.prefactor * box.reshape(len(patterns), -1).diagonal())
     if dist.is_pure:
         probs[[sum(p) % 2 == 1 for p in patterns]] = 0.0
     if float(probs.min()) < -1e-9:

@@ -14,14 +14,17 @@ permutation sum, kept as an independent oracle for small matrices, and
 index subsets. Both accept object-dtype matrices (exact integers, symbols), so
 algebraic identities can be checked without floating point.
 
-:func:`hafnian_box`, the kernel behind :mod:`tfsim.fgbs`, fills a whole box of
-reduced hafnians by the Gaussian recurrence of Miatto & Quesada, Quantum 4,
-366 (2020), arXiv:2004.11002, in one pass over the box:
+:func:`hafnian_box`, the kernel behind :mod:`tfsim.fgbs`'s tables, fills a
+whole box of reduced hafnians by the Gaussian recurrence of Miatto & Quesada,
+Quantum 4, 366 (2020), arXiv:2004.11002, in one pass over the box:
 
     R[m + e_i] = (sum_j A_ij sqrt(m_j) R[m - e_j]) / sqrt(m_i + 1),  R[0] = 1.
 
 It sums the matching sum's own products, so its rounding error stays of the
 order of haf(|A_m|); it is tested against ``hafnian(reduce(A, pattern))``.
+:func:`hafnian_corner`, the kernel behind one pattern's probability, returns
+the box's last entry, byte for byte, from the same per-slice step run only on
+the entries it depends on: about a quarter of the box at large equal sides.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 __all__ = [
     "hafnian",
     "hafnian_box",
+    "hafnian_corner",
     "hafnian_perm_sum",
     "reduce",
 ]
@@ -166,33 +170,92 @@ def reduce(A, pattern):
     return A[np.ix_(idx, idx)]
 
 
+def _check_box(A, shape):
+    A = np.asarray(A, dtype=complex)
+    shape = tuple(int(d) for d in shape)
+    if A.shape != (len(shape),) * 2 or min(shape, default=1) < 1:
+        raise ValueError("the box needs one axis of length >= 1 per row of A")
+    return A, shape
+
+
+def _shifts(roots, lo):
+    """Per axis j >= 1: sqrt(m_j) and the indices (into new, into cur) pairing
+    new[m] with cur[m - e_j], where new's window starts at lo[j] on axis j and
+    that of cur, the slice before it, at max(0, lo[j] - 1); both end at the
+    last index. Where lo[j] > 0, cur starts one index before new, else both
+    start at 0 and new[m_j = 0] has no source.
+
+    ``roots[j]`` is sqrt(1, 2, ...) along axis j.
+    """
+    align = tuple(slice(1 if s else 0, None) for s in lo)
+    return [(roots[j][(slice(lo[j] - a.start, None),) + (None,) * (len(lo) - 1 - j)],
+             (slice(None),) * j + (slice(1 - a.start, None),),
+             align[:j] + (slice(None, -1),) + align[j + 1:])
+            for j, a in enumerate(align) if j]
+
+
+def _step(new, prev, cur, row, r, t, shifts):
+    """Slice t + 1 of axis k from its slices t (cur) and t - 1 (prev, unread at t = 0):
+
+        new = A_kk (r_{t-1} / r_t) prev + sum_j (A_kj / r_t) (sqrt(m_j) shift_j(cur)),
+
+    with row = A[k, k:], r = sqrt(1, 2, ...) along axis k and ``shifts`` the
+    entries j > k of :func:`_shifts`, in increasing j. Slices keep every axis,
+    axis k and those before it of length 1. ``new`` is contiguous and zero at
+    t = 0, and ``prev`` covers its window; a strided ``prev`` is copied first,
+    so every product by a complex coefficient runs over a contiguous array
+    (NumPy may round strided and 0-d ones differently) and a window holds the
+    same values as the whole slice.
+    """
+    if t:
+        np.multiply(np.ascontiguousarray(prev), row[0] * (r[t - 1] / r[t]), out=new)
+    for a, (w, dst, src) in zip(row[1:], shifts):
+        new[dst] += (a / r[t]) * (w * cur[src])
+
+
 def hafnian_box(A, shape):
     """R[m] = haf(A_m) / sqrt(prod m_i!) for every index vector 0 <= m < shape.
 
     A_m repeats row and column i of the symmetric matrix A m_i times, so for
     m = (n, n), R[m] = haf(reduce(A, n)) / prod n_i!. Axes fill last first;
-    axis k's slice t + 1 comes from its slices t and t - 1. Every product by
-    a complex coefficient runs over a contiguous array (NumPy may round
-    strided and 0-d ones differently), so a sub-box holds the same values.
+    axis k's slice t + 1 comes from its slices t and t - 1 by :func:`_step`,
+    so a sub-box holds the same values.
     """
-    A = np.asarray(A, dtype=complex)
-    shape = tuple(int(d) for d in shape)
-    if A.shape != (len(shape),) * 2 or min(shape, default=1) < 1:
-        raise ValueError("the box needs one axis of length >= 1 per row of A")
+    A, shape = _check_box(A, shape)
     box = np.zeros(shape, dtype=complex)
     box[(0,) * len(shape)] = 1.0
     roots = [np.sqrt(np.arange(1.0, d)) for d in shape]
+    shifts = _shifts(roots, (0,) * len(shape))
     for k in reversed(range(len(shape))):
-        sub = box[(0,) * k]
-        # sqrt(m_j) along axis j - k of a slice sub[t:t + 1], for j > k.
-        weights = [roots[j].reshape((-1,) + (1,) * (len(shape) - 1 - j))
-                   for j in range(k + 1, len(shape))]
+        pre = (slice(0, 1),) * k
         for t in range(shape[k] - 1):
-            cur, new = sub[t:t + 1], sub[t + 1:t + 2]
-            if t:
-                np.multiply(sub[t - 1:t], A[k, k] * (roots[k][t - 1] / roots[k][t]), out=new)
-            for j, w in enumerate(weights, start=k + 1):
-                lead = (slice(None),) * (j - k)
-                shifted = w * cur[lead + (slice(None, -1),)]
-                new[lead + (slice(1, None),)] += (A[k, j] / roots[k][t]) * shifted
+            _step(box[pre + (slice(t + 1, t + 2),)], box[pre + (slice(t - 1, t),)],
+                  box[pre + (slice(t, t + 1),)], A[k, k:], roots[k], t, shifts[k:])
     return box
+
+
+def hafnian_corner(A, shape):
+    """R[c], c = shape - 1: the corner of ``hafnian_box(A, shape)``, byte for byte.
+
+    Axis 0 fills last, and its entry (t, m) reads (t - 1, m - e_j) and
+    (t - 2, m): one slice down, every other index drops by at most one. So the
+    corner reads slice t only on the window m_i >= c_i - (c_0 - t) of the
+    other axes. Slice 0 is ``hafnian_box(A[1:, 1:], shape[1:])``; slices
+    1..c_0 are filled on their windows by the same :func:`_step`. At large
+    equal c_i that is about a quarter of the box, and three slices are held.
+    """
+    A, shape = _check_box(A, shape)
+    if not shape:
+        return np.complex128(1.0)
+    c = [d - 1 for d in shape]
+    lo = [[0] + [max(0, ci - c[0] + t) for ci in c[1:]] for t in range(shape[0])]
+    roots = [np.sqrt(np.arange(1.0, d)) for d in shape]
+    prev = None
+    cur = hafnian_box(A[1:, 1:], shape[1:])[None][tuple(slice(s, None) for s in lo[0])]
+    for t in range(c[0]):
+        new = np.zeros([1] + [ci + 1 - s for ci, s in zip(c[1:], lo[t + 1][1:])], dtype=complex)
+        if t:
+            prev = prev[tuple(slice(a - b, None) for a, b in zip(lo[t + 1], lo[t - 1]))]
+        _step(new, prev, cur, A[0], roots[0], t, _shifts(roots, lo[t + 1]))
+        prev, cur = cur, new
+    return cur[(0,) * len(shape)]

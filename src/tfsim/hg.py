@@ -234,8 +234,8 @@ class _Amplitude:
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive")
         norm = float(np.sum(np.abs(coeffs) ** 2))
-        if norm > 1.0 + NORM_TOL:
-            raise ValueError(f"coefficient norm {norm} exceeds 1")
+        if not norm <= 1.0 + NORM_TOL:
+            raise ValueError(f"coefficient norm {norm} is not at most 1")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

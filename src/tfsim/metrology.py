@@ -74,10 +74,10 @@ def _probe(n_total, state):
     index = np.add.outer(np.arange(coeffs.shape[0]), np.arange(coeffs.shape[1]))
     sector = int(index.flat[np.argmax(np.abs(coeffs))])
     leak = float(np.abs(coeffs[index != sector]).max(initial=0.0))
-    if leak > LEAK_TOL:
+    if not leak <= LEAK_TOL:
         raise ValueError(f"support leaks off the n+m={sector} sector ({leak:.3e})")
     norm = jsa.norm_squared
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {norm} is not 1")
     if sector != n_total:
         raise ValueError("state total index does not match n_total")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -99,6 +100,20 @@ def test_two_mode_squeezing_ladder_to_thirty_photons(s):
     for n in range(31):
         expected = math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
         assert fgbs.probability(dist, (n, n)) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_single_pattern_does_not_fill_its_whole_box():
+    # P(30, 30) needs the corner of a (31, 31, 31, 31) box, 14.8 MB of complex
+    # entries; only the corner's cone, three slices of it at a time, is held.
+    dist = tmsv_distribution(3.0)
+    tracemalloc.start()
+    try:
+        value = fgbs.probability(dist, (30, 30))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 5.516983947116921e-07
+    assert peak < 5e6
 
 
 def test_single_mode_squeezing_to_sixty_photons():

@@ -302,6 +302,8 @@ def test_spectral_state_validation():
         hg.SpectralState(coeffs=np.array([[1.0 + 0.0j]]), sigma=1.0)
     with pytest.raises(ValueError, match="coeffs"):
         hg.SpectralState(coeffs=np.zeros(0), sigma=1.0)
+    with pytest.raises(ValueError, match="norm nan"):
+        hg.SpectralState(coeffs=np.array([np.nan, 0.5]), sigma=1.0)
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf])

@@ -114,6 +114,16 @@ def test_two_mode_state_validation():
     with pytest.raises(ValueError, match="coeffs"):
         mt.quantum_fisher_information(2, state=JointSpectralAmplitude(np.zeros((0, 0))))
 
+    # A NaN amplitude fails every check that reads it, even one put into a
+    # JSA's array after the constructor checked it.
+    for entries, message in [({(0, 2): np.nan}, "norm nan"),
+                             ({(0, 2): np.nan, (2, 2): np.nan}, "leaks")]:
+        probe = JointSpectralAmplitude(good.copy())
+        for at, value in entries.items():
+            probe.coeffs[at] = value
+        with pytest.raises(ValueError, match=message):
+            mt.quantum_fisher_information(2, state=probe)
+
 
 def test_twin_state_beam_splitter_output_is_hom_output():
     # The twin probe of total index 2n is exactly the input pair of hom_output(n).

@@ -278,6 +278,10 @@ def test_jsa_validation():
         tp.JointSpectralAmplitude(coeffs=np.eye(2) / S2, sigma=-1.0)
     with pytest.raises(ValueError, match="coeffs"):
         tp.JointSpectralAmplitude(coeffs=np.zeros((0, 0)))
+    one_nan = np.eye(2) / S2
+    one_nan[0, 1] = np.nan
+    with pytest.raises(ValueError, match="norm nan"):
+        tp.JointSpectralAmplitude(coeffs=one_nan)
 
 
 def test_jsa_to_csv_round_trip(tmp_path):
