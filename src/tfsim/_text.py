@@ -3,9 +3,11 @@
 A table is a header plus rows, and each row is a sequence of pieces: literal
 strings and columns (:func:`floats`, :func:`ints`, :func:`texts`). Each
 column formats a chunk of rows into a block of bytes, one row of the block
-per table row, with a mask marking which bytes are text. :func:`table_text`
-stacks the blocks of a chunk side by side, keeps the masked bytes in row
-order and appends them to the text, so the table is held once plus a chunk.
+per table row, with a mask marking which bytes are text. :func:`chunks`
+stacks the blocks of :data:`CHUNK_ROWS` rows side by side and yields the
+masked bytes in row order as one string, so a caller that writes each chunk
+as it comes (the CLI) holds one chunk of the table at a time;
+:func:`table_text` grows the chunks into one string.
 
 Floats are formatted by :mod:`tfsim._float_text`, imported on first use so
 that importing the CLI does not compile it.
@@ -13,12 +15,13 @@ that importing the CLI does not compile it.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 #: Rows per chunk: the byte blocks of one chunk cost memory in proportion to
 #: the chunk, not to the table.
 CHUNK_ROWS = 8192
-_WRITE_SLICE = 1 << 20  # characters per write of a finished text
 
 
 def int_cells(values):
@@ -93,32 +96,33 @@ def _literal(text):
     )
 
 
-def table_text(header, row, n_rows):
-    """``header`` followed by ``n_rows`` rows, each the concatenation of ``row``'s
-    pieces: literal strings and columns from :func:`floats`, :func:`ints` and
-    :func:`texts`."""
+def chunks(header, row, n_rows):
+    """Yield ``header``, then ``n_rows`` rows a chunk of :data:`CHUNK_ROWS` rows at a
+    time, each row the concatenation of ``row``'s pieces: literal strings and
+    columns from :func:`floats`, :func:`ints` and :func:`texts`."""
     pieces = [_literal(piece) if isinstance(piece, str) else piece for piece in row]
-    text = header
+    yield header
     for lo in range(0, n_rows, CHUNK_ROWS):
         blocks = [piece(lo, min(lo + CHUNK_ROWS, n_rows)) for piece in pieces]
         chars = np.concatenate([b[0] for b in blocks], axis=1)
         mask = np.concatenate([b[1] for b in blocks], axis=1)
-        # CPython grows a string that has one reference in place, so the table
-        # is held once, never as chunks plus their join.
-        text += chars[mask].tobytes().decode("utf-8")
+        yield chars[mask].tobytes().decode("utf-8")
+
+
+def table_text(header, row, n_rows, path=None):
+    """The text of :func:`chunks` as one string; each chunk is also written to
+    ``path`` as it is formed, when one is given."""
+    with contextlib.nullcontext() if path is None else out_file(path) as out:
+        text = ""
+        for chunk in chunks(header, row, n_rows):
+            if out is not None:
+                out.write(chunk)
+            # CPython grows a string that has one reference in place, so the table
+            # is held once, never as chunks plus their join.
+            text += chunk
     return text
 
 
-def write(stream, text):
-    """Write ``text`` to a text stream a slice at a time, so that no encoded copy
-    of the whole text is made."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        stream.write(text[start : start + _WRITE_SLICE])
-
-
-def emit(text, path=None):
-    """Write ``text`` to ``path`` (UTF-8, LF line ends) when one is given; return it."""
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh, text)
-    return text
+def out_file(path):
+    """``path`` opened for a table's text: UTF-8, LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")

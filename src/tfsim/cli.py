@@ -18,21 +18,27 @@ wigner
     Single-mode Wigner field of a circuit's output state as CSV.
 
 Outputs are byte-deterministic for identical inputs and seed: JSON is
-emitted with sorted keys and CSV numbers with 17 significant digits. Errors
-are reported as a JSON object on stderr and a distinct exit code:
+emitted with sorted keys and CSV numbers with 17 significant digits. Every
+computation, validation and cost guard finishes before the first byte is
+written; tables are then written to stdout or ``--out`` a chunk of rows at a
+time, so peak memory is the computed values plus one chunk. Errors are
+reported as a JSON object on stderr and a distinct exit code:
 2 file-not-found, 3 schema violation, 4 cost guard, 5 insufficient sampling
-mass, 1 anything else (including a --circuit path that cannot be read). The
-TFSIM_MAX_COST environment variable relaxes or tightens the cost guards.
+mass, 1 anything else (including a --circuit path that cannot be read, and a
+write that fails part-way, such as a closed pipe, which stops the output and
+leaves a partial ``--out`` file). The TFSIM_MAX_COST environment variable
+relaxes or tightens the cost guards.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fgbs, metrology, twophoton
-from ._text import emit, write
+from ._text import chunks, out_file
 from .circuit import parse_circuit, run_circuit
 from .exceptions import (
     CostGuardError,
@@ -41,7 +47,7 @@ from .exceptions import (
     TfsimError,
     UnknownGateError,
 )
-from .gaussian import PhaseSpaceGrid, wigner_csv_text
+from .gaussian import PhaseSpaceGrid, _wigner_table
 
 __all__ = ["main"]
 
@@ -115,13 +121,13 @@ def _cmd_hom(args):
         "marginal_b": twophoton.mode_marginal(jsa, "b").tolist(),
         "cutoff": jsa.cutoff,
     }
-    return _json_text(payload)
+    return [_json_text(payload)]
 
 
 def _cmd_metrology(args):
     values = _parse_photons(args.photons)
     rows = metrology.precision_sweep(values, args.estimator, phi=args.phase)
-    return metrology.sweep_csv_text(rows)
+    return chunks(*metrology._sweep_table(rows))
 
 
 def _cmd_fgbs_prob(args):
@@ -134,18 +140,18 @@ def _cmd_fgbs_prob(args):
         "pattern": list(pattern),
         "probability": fgbs.probability(dist, pattern),
     }
-    return _json_text(payload)
+    return [_json_text(payload)]
 
 
 def _cmd_fgbs_sample(args):
     dist = fgbs.build_distribution(_load_state(args.circuit))
     samples = fgbs.sample(dist, args.shots, args.seed, args.cutoff)
-    return fgbs.samples_to_jsonl(samples)
+    return chunks(*fgbs._samples_table(samples))
 
 
 def _cmd_wigner(args):
     state = _load_state(args.circuit)
-    return wigner_csv_text(state, _parse_grid(args.grid), mode=args.mode)
+    return chunks(*_wigner_table(state, _parse_grid(args.grid), args.mode))
 
 
 def _build_parser():
@@ -220,10 +226,25 @@ def _emit_error(kind, message, code):
     return code
 
 
+def _write(texts, path):
+    """Write each text as it comes, to ``path`` or else to stdout."""
+    if path is not None:
+        with out_file(path) as fh:
+            fh.writelines(texts)
+        return
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except OSError:
+        # Stop writing; what stdout still buffers goes to the null device at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
+        texts = args.handler(args)
     except FileNotFoundError as exc:
         return _emit_error("file-not-found", str(exc), EXIT_FILE_NOT_FOUND)
     except UnknownGateError as exc:
@@ -237,11 +258,9 @@ def main(argv=None):
     except (TfsimError, ValueError, ArithmeticError, OSError) as exc:
         return _emit_error("error", str(exc), EXIT_ERROR)
     try:
-        emit(text, args.out)
+        _write(texts, args.out)
     except OSError as exc:
         return _emit_error("error", str(exc), EXIT_ERROR)
-    if args.out is None:
-        write(sys.stdout, text)
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, floats, ints, table_text, texts
+from ._text import floats, ints, table_text, texts
 from .exceptions import CostGuardError, InsufficientMassError, _check_cost
 from .gaussian import _inverse_and_det, purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, hafnian_box, hafnian_corner
@@ -70,11 +70,17 @@ class FgbsDistribution:
     ``prefactor`` the normalization |det Sigma_Q|^{-1/2} with Sigma_Q the
     Husimi covariance Sigma_c + I/2, and ``is_pure`` records whether the
     source state was pure (pure sources place zero mass on odd total index).
+    ``a_matrix`` is stored as a read-only copy.
     """
 
     a_matrix: np.ndarray
     prefactor: float
     is_pure: bool
+
+    def __post_init__(self):
+        a = np.array(self.a_matrix)
+        a.setflags(write=False)
+        object.__setattr__(self, "a_matrix", a)
 
     @property
     def n_modes(self):
@@ -235,13 +241,18 @@ def sample(dist, shots, rng_seed, cutoff):
     return [patterns[i] for i in idx]
 
 
-def samples_to_jsonl(samples, path=None):
-    """Serialize samples as JSON lines {"pattern": [...], "shot": i}; also written to ``path``."""
+def _samples_table(samples):
+    """The samples' JSON lines as (header, row pieces, row count)."""
     distinct = {}
     codes = np.fromiter((distinct.setdefault(tuple(p), len(distinct)) for p in samples), np.intp)
     patterns = texts((", ".join(map(str, map(int, p))) for p in distinct), codes)
     row = ['{"pattern": [', patterns, '], "shot": ', ints(np.arange(codes.size)), "}\n"]
-    return emit(table_text("", row, codes.size), path)
+    return "", row, codes.size
+
+
+def samples_to_jsonl(samples, path=None):
+    """Serialize samples as JSON lines {"pattern": [...], "shot": i}; also written to ``path``."""
+    return table_text(*_samples_table(samples), path)
 
 
 def probability_table_csv(dist, cutoff, path=None):
@@ -250,4 +261,4 @@ def probability_table_csv(dist, cutoff, path=None):
     modes = np.array(patterns).reshape(len(patterns), dist.n_modes).T
     row = [piece for mode in modes for piece in (";", ints(mode))][1:]
     row += [",", floats(probs), "\n"]
-    return emit(table_text("pattern,probability\n", row, len(patterns)), path)
+    return table_text("pattern,probability\n", row, len(patterns), path)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, floats, table_text
+from ._text import floats, table_text
 from .exceptions import _check_cost
 
 __all__ = [
@@ -69,14 +69,14 @@ class GaussianTFState:
 
     ``mean`` has length 2N and ``cov`` is 2N x 2N; both are finite, ``cov`` is
     symmetric and satisfies the uncertainty relation Sigma + i Omega / 2 >= 0
-    (all validated).
+    (all validated). Both are stored as read-only copies.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2:
             raise ValueError("mean must be a 1-d vector of even length 2N")
@@ -96,6 +96,8 @@ class GaussianTFState:
                 raise ValueError(
                     f"covariance violates the uncertainty relation (min eig {min_eig:.3e})"
                 ) from None
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -351,8 +353,8 @@ def husimi_eval(state, point, mode=None):
     return float(np.exp(-0.5 * (d @ inv @ d)) / (np.pi ** n * np.sqrt(det)))
 
 
-def wigner_csv_text(state, grid, mode=0, path=None):
-    """Wigner field as CSV ``omega,t,value`` rows, omega-major; also written to ``path``."""
+def _wigner_table(state, grid, mode):
+    """The Wigner CSV as (header, row pieces, row count), its field evaluated."""
     field = wigner_eval(state, grid, mode=mode)
     t_count = grid.t_count
     row = [
@@ -360,4 +362,9 @@ def wigner_csv_text(state, grid, mode=0, path=None):
         floats(grid.t_axis, lambda lo, hi: np.arange(lo, hi) % t_count), ",",
         floats(field), "\n",
     ]
-    return emit(table_text("omega,t,value\n", row, field.size), path)
+    return "omega,t,value\n", row, field.size
+
+
+def wigner_csv_text(state, grid, mode=0, path=None):
+    """Wigner field as CSV ``omega,t,value`` rows, omega-major; also written to ``path``."""
+    return table_text(*_wigner_table(state, grid, mode), path)

@@ -220,7 +220,8 @@ def hg_overlap(f, n, sigma, rule=None):
 class _Amplitude:
     """The one amplitude contract, of PHOTONS photons over an HG basis of width ``sigma``
     (finite, > 0): ``coeffs`` is a non-empty complex array with one axis of length
-    cutoff + 1 per photon, whose squared norm may exceed 1 by at most NORM_TOL."""
+    cutoff + 1 per photon, whose squared norm may exceed 1 by at most NORM_TOL. It is
+    stored as a read-only copy, so a checked state stays as checked."""
 
     PHOTONS: ClassVar[int]
 
@@ -228,7 +229,7 @@ class _Amplitude:
     sigma: float
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        coeffs = np.atleast_1d(np.array(self.coeffs, dtype=complex))
         if coeffs.ndim != self.PHOTONS or coeffs.size == 0 or len(set(coeffs.shape)) != 1:
             raise ValueError("coeffs must be a non-empty array, one equal axis per photon")
         if not 0.0 < self.sigma < np.inf:
@@ -236,6 +237,7 @@ class _Amplitude:
         norm = float(np.sum(np.abs(coeffs) ** 2))
         if not norm <= 1.0 + NORM_TOL:
             raise ValueError(f"coefficient norm {norm} is not at most 1")
+        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._text import emit, floats, ints, table_text, texts
+from ._text import floats, ints, table_text, texts
 from .twophoton import (
     JointSpectralAmplitude,
     _check_sector_cost,
@@ -218,15 +218,20 @@ def precision_sweep(n_values, estimator, phi=None):
     return rows
 
 
-def sweep_csv_text(rows, path=None):
-    """Sweep rows as CSV ``n_photons,phi,estimator,delta_phi``; also written to ``path``."""
+def _sweep_table(rows):
+    """The sweep CSV as (header, row pieces, row count)."""
     rows = list(rows)
     n_photons, phis, estimators, values = zip(*rows) if rows else ((),) * 4
     row = [
         ints(n_photons), ",", floats(phis), ",",
         texts(estimators), ",", floats(values), "\n",
     ]
-    return emit(table_text("n_photons,phi,estimator,delta_phi\n", row, len(rows)), path)
+    return "n_photons,phi,estimator,delta_phi\n", row, len(rows)
+
+
+def sweep_csv_text(rows, path=None):
+    """Sweep rows as CSV ``n_photons,phi,estimator,delta_phi``; also written to ``path``."""
+    return table_text(*_sweep_table(rows), path)
 
 
 def heisenberg_slope(n_values=tuple(range(2, 21, 2)), estimator="fisher"):

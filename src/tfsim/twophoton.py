@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import emit, floats, ints, table_text
+from ._text import floats, ints, table_text
 from .exceptions import _check_cost
 from .hg import SpectralState, _Amplitude, hermite_functions
 
@@ -212,4 +212,4 @@ def jsa_to_csv(jsa, path=None):
     coeffs = jsa.coeffs
     n, m = np.indices(coeffs.shape)
     row = [ints(n), ",", ints(m), ",", floats(coeffs.real), ",", floats(coeffs.imag), "\n"]
-    return emit(table_text("n,m,re,im\n", row, coeffs.size), path)
+    return table_text("n,m,re,im\n", row, coeffs.size, path)

@@ -300,14 +300,92 @@ def test_cli_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_cli_unwritable_out_is_a_json_error(tmp_path, capsys):
-    for target in (tmp_path / "missing_dir" / "x.json", tmp_path):
-        assert cli.main(["hom", "--n", "1", "--out", str(target)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"]["type"] == "error"
-        assert err["error"]["exit_code"] == 1
+    circuit = write_circuit(tmp_path, VACUUM_1)
+    commands = (
+        ["hom", "--n", "1"],
+        ["wigner", "--circuit", circuit, "--grid=-2:2:5,-2:2:5"],
+        ["fgbs", "sample", "--circuit", circuit, "--shots", "5"],
+    )
+    for argv in commands:
+        for target in (tmp_path / "missing_dir" / "x.json", tmp_path):
+            assert cli.main([*argv, "--out", str(target)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"]["type"] == "error"
+            assert err["error"]["exit_code"] == 1
     assert not (tmp_path / "missing_dir").exists()
+
+
+def test_cli_table_errors_come_before_the_first_byte(tmp_path, capsys):
+    # Tables are streamed, but every guard and check runs before the first chunk:
+    # a refused table leaves stdout empty and creates no --out file.
+    vacuum = write_circuit(tmp_path, VACUUM_1)
+    extra_key = write_circuit(tmp_path, dict(VACUUM_1, extra=True), "extra.json")
+    wide = write_circuit(tmp_path, {**VACUUM_1, "inputs": [
+        {"type": "gaussian", "width": 1.5}]}, "wide.json")
+    cases = [
+        (["wigner", "--circuit", vacuum, "--grid=-1:1:100000,-1:1:100000"], 4),
+        (["fgbs", "sample", "--circuit", vacuum, "--shots", "1000000000000"], 4),
+        (["metrology", "--photons", "2..4000000"], 4),
+        (["wigner", "--circuit", extra_key], 3),
+        (["fgbs", "sample", "--circuit", extra_key], 3),
+        (["fgbs", "sample", "--circuit", wide, "--shots", "10", "--cutoff", "1"], 5),
+        (["wigner", "--circuit", vacuum, "--mode", "1"], 1),
+    ]
+    target = tmp_path / "table.out"
+    for argv, code in cases:
+        for out in ([], ["--out", str(target)]):
+            assert cli.main([*argv, *out]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"]["exit_code"] == code
+            assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_write_that_fails_part_way_is_a_json_error(tmp_path, capsys):
+    # /dev/full opens but refuses every write (ENOSPC), as a full disk would.
+    path = write_circuit(tmp_path, VACUUM_1)
+    argv = ["wigner", "--circuit", path, "--grid=-7:7:201,-7:7:201"]
+    assert cli.main([*argv, "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["exit_code"] == 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tfsim.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    assert json.loads(result.stderr)["error"]["exit_code"] == 1
+
+
+def test_cli_closed_pipe_is_a_json_error_without_a_traceback(tmp_path):
+    # The reader stops after one line of a 2.4 MB table: tfsim stops writing and
+    # exits 1 with the JSON error, and the interpreter's final flush is silent.
+    path = write_circuit(tmp_path, VACUUM_1)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tfsim.cli", "wigner", "--circuit", path,
+         "--grid=-7:7:201,-7:7:201"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"omega,t,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "error" and error["exit_code"] == 1
 
 
 def test_cli_metrology_sweep(capsys):

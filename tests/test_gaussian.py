@@ -237,6 +237,33 @@ def test_covariance_validation():
         g.GaussianTFState(np.zeros(3), 0.5 * np.eye(3))
 
 
+def test_checked_states_are_read_only_copies():
+    # A validated state cannot be changed afterwards, neither through its own
+    # arrays nor through the caller's arrays it was built from.
+    from tfsim.fgbs import FgbsDistribution
+    from tfsim.hg import SpectralState
+    from tfsim.twophoton import JointSpectralAmplitude
+
+    mean, cov = np.zeros(2), 0.5 * np.eye(2)
+    one, two = np.array([0.6, 0.8j]), np.diag([0.6, 0.8]).astype(complex)
+    a = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex)
+    state = g.GaussianTFState(mean, cov)
+    checked = [
+        (state.mean, mean),
+        (state.cov, cov),
+        (SpectralState(one, 1.0).coeffs, one),
+        (JointSpectralAmplitude(two).coeffs, two),
+        (FgbsDistribution(a, 1.0, True).a_matrix, a),
+    ]
+    for stored, given in checked:
+        assert np.array_equal(stored, given)
+        assert not np.shares_memory(stored, given)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = np.nan
+        given[0] = np.nan
+        assert np.isfinite(stored).all()
+
+
 def test_uncertainty_boundary_is_the_validation_tolerance():
     # (0.5 - delta) I + i Omega / 2 has min eigenvalue -delta; UNCERTAINTY_TOL is 1e-10.
     for n_modes in (1, 3):

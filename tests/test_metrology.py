@@ -114,13 +114,16 @@ def test_two_mode_state_validation():
     with pytest.raises(ValueError, match="coeffs"):
         mt.quantum_fisher_information(2, state=JointSpectralAmplitude(np.zeros((0, 0))))
 
-    # A NaN amplitude fails every check that reads it, even one put into a
-    # JSA's array after the constructor checked it.
+    # A NaN amplitude fails every check that reads it, even in a JSA built
+    # around the constructor, whose own norm check refuses NaN first.
     for entries, message in [({(0, 2): np.nan}, "norm nan"),
                              ({(0, 2): np.nan, (2, 2): np.nan}, "leaks")]:
-        probe = JointSpectralAmplitude(good.copy())
+        coeffs = good.copy()
         for at, value in entries.items():
-            probe.coeffs[at] = value
+            coeffs[at] = value
+        probe = object.__new__(JointSpectralAmplitude)
+        object.__setattr__(probe, "coeffs", coeffs)
+        object.__setattr__(probe, "sigma", 1.0)
         with pytest.raises(ValueError, match=message):
             mt.quantum_fisher_information(2, state=probe)
 

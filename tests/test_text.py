@@ -5,7 +5,6 @@ which must give exactly the text of ``"%.17g" % v``: its fast path where it
 can certify the rounding, Python's ``%`` for the rest.
 """
 
-import io
 import os
 import subprocess
 import sys
@@ -122,15 +121,18 @@ def test_table_crosses_chunk_boundaries():
     assert _text.table_text("", row, n) == want
 
 
-def test_write_in_slices_keeps_every_character(tmp_path):
-    text = "".join(f"{i},ω\n" for i in range(_text._WRITE_SLICE // 2))
-    assert len(text) > 2 * _text._WRITE_SLICE
-    stream = io.StringIO()
-    _text.write(stream, text)
-    assert stream.getvalue() == text
+def test_chunks_and_the_path_keep_every_character(tmp_path):
+    # The header, then one string per CHUNK_ROWS rows; table_text and the file it
+    # writes hold the same characters, multi-byte ones included.
+    n = 2 * _text.CHUNK_ROWS + 5
+    row = [_text.ints(np.arange(n)), ",", _text.texts(["ω"], np.zeros(n, dtype=int)), "\n"]
+    want = "h\n" + "".join(f"{i},ω\n" for i in range(n))
+    parts = list(_text.chunks("h\n", row, n))
+    assert [part.count("\n") for part in parts] == [1, _text.CHUNK_ROWS, _text.CHUNK_ROWS, 5]
+    assert "".join(parts) == want
     path = tmp_path / "out.csv"
-    assert _text.emit(text, path) is text
-    assert path.read_bytes().decode("utf-8") == text
+    assert _text.table_text("h\n", row, n, path) == want
+    assert path.read_bytes().decode("utf-8") == want
 
 
 def test_importing_the_cli_loads_no_formatter():

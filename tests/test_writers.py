@@ -7,12 +7,16 @@ Several tables are larger than a few thousand rows, so a writer that works
 in chunks has to cross chunk boundaries to pass.
 """
 
+import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 
 from tfsim import circuit as ct
 from tfsim import cli, fgbs
+from tfsim._text import CHUNK_ROWS
 from tfsim import gaussian as g
 from tfsim import metrology as mt
 from tfsim import twophoton as tp
@@ -200,12 +204,27 @@ def test_cli_metrology_stdout_bytes(capsys):
     assert capsys.readouterr().out == expected
 
 
+def assert_streamed_bytes(argv, want, tmp_path, capsys):
+    """The CLI's stdout and its --out file both hold exactly ``want``."""
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    target = tmp_path / "table.out"
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == want.encode("utf-8")
+
+
 def test_cli_fgbs_sample_stdout_bytes(tmp_path, capsys):
     path = write_circuit(tmp_path, SQUEEZED_2)
     args = ["fgbs", "sample", "--circuit", path, "--shots", "5000", "--seed", "7", "--cutoff", "6"]
     assert cli.main(args) == 0
     dist = fgbs.build_distribution(run_doc(SQUEEZED_2))
     assert capsys.readouterr().out == ref_jsonl(fgbs.sample(dist, 5000, 7, 6))
+    # Streamed over three chunks of the table writer.
+    shots = 2 * CHUNK_ROWS + 1000
+    args = ["fgbs", "sample", "--circuit", path, "--shots", str(shots), "--seed", "11",
+            "--cutoff", "6"]
+    assert_streamed_bytes(args, ref_jsonl(fgbs.sample(dist, shots, 11, 6)), tmp_path, capsys)
 
 
 def test_cli_wigner_stdout_bytes(tmp_path, capsys):
@@ -215,3 +234,38 @@ def test_cli_wigner_stdout_bytes(tmp_path, capsys):
     ) == 0
     field = g.wigner_eval(run_doc(DISPLACED_2), WIDE_WIGNER, mode=1)
     assert capsys.readouterr().out == ref_wigner_csv(WIDE_WIGNER, field)
+    # Streamed over three chunks of the table writer.
+    grid = g.PhaseSpaceGrid(-3.0, 4.0, 131, -2.5, 2.5, 137, origin=0.75)
+    assert grid.omega_count * grid.t_count > 2 * CHUNK_ROWS
+    field = g.wigner_eval(run_doc(DISPLACED_2), grid, mode=1)
+    args = ["wigner", "--circuit", path, "--mode", "1", "--grid=-3:4:131,-2.5:2.5:137,0.75"]
+    assert_streamed_bytes(args, ref_wigner_csv(grid, field), tmp_path, capsys)
+
+
+class ByteCount(io.TextIOBase):
+    """A text sink that keeps only the number of UTF-8 bytes written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text.encode("utf-8"))
+        return len(text)
+
+
+def test_cli_wigner_holds_one_chunk_not_the_table(tmp_path, monkeypatch):
+    # 801 x 801 rows are 39 MB of CSV; streamed, the traced peak is the 5 MB
+    # field plus one chunk, where a table held whole would pass 40 MB.
+    path = write_circuit(tmp_path, DISPLACED_2)
+    argv = ["wigner", "--circuit", path, "--mode", "1"]
+    sink = ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main([*argv, "--grid=-1:1:3,-1:1:3"]) == 0  # formatter loaded and built
+    sink.size = 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--grid=-7:7:801,-7:7:801"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 39_000_000
+    assert peak < 24_000_000
