@@ -1,43 +1,58 @@
-"""Wall-time scaling of the hafnian recursion.
+"""Wall-time scaling of the FGBS pattern kernel.
 
-Times the memoized perfect-matching recursion on random symmetric complex
-matrices of growing even dimension (best of three runs each) and writes the
-results to CSV. The cost grows geometrically (roughly 3x per added mode pair
-in practice), consistent with the exponential subset recursion.
+Times :func:`tfsim.hafnian.hafnian_corner`, the kernel behind
+:func:`tfsim.fgbs.probability`, on the 4 x 4 A matrix of the width-3 two-mode
+squeezed vacuum (widths 3 and 1/3, then the frequency beam splitter) for the
+patterns (n, n), n = 0..30 (best of three runs each), and writes the results to
+CSV. The kernel fills about a quarter of an (n + 1)^4 box, so its work grows
+as a power of n (at most n^4), not exponentially in the photon number as the
+memoized subset recursion of the oracle :func:`tfsim.hafnian.hafnian` does.
+Each P(n, n) is printed next to its closed form tanh(ln 3)^(2n) / cosh(ln 3)^2.
 """
 
+import json
+import math
 import time
 
 import numpy as np
 
-from tfsim.hafnian import hafnian
+from tfsim.circuit import parse_circuit, run_circuit
+from tfsim.fgbs import build_distribution
+from tfsim.hafnian import hafnian_corner
+
+TMSV = {
+    "modes": 2,
+    "inputs": [{"type": "gaussian", "width": 3.0}, {"type": "gaussian", "width": 1.0 / 3.0}],
+    "ops": [{"gate": "fbs", "targets": [0, 1]}],
+}
 
 
-def best_time(B, repeats):
+def best_time(A, shape, repeats):
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        hafnian(B)
+        corner = hafnian_corner(A, shape)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, corner
 
 
 def main():
-    sizes = (2, 4, 6, 8, 10, 12, 14, 16, 18)
-    rng = np.random.default_rng(1)
+    dist = build_distribution(run_circuit(parse_circuit(json.dumps(TMSV))))
+    r = math.log(3.0)
     rows = []
-    for n in sizes:
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rows.append((n, best_time((M + M.T) / 2.0, repeats=3)))
+    for n in range(31):
+        seconds, corner = best_time(dist.a_matrix, [n + 1] * 4, repeats=3)
+        exact = math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
+        rows.append((n, seconds, float((dist.prefactor * corner).real), exact))
     with open("hafnian_bench.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,wall_time_s\n")
-        fh.writelines(f"{n},{seconds:.17g}\n" for n, seconds in rows)
+        fh.writelines(f"{n},{seconds:.17g}\n" for n, seconds, _, _ in rows)
 
-    print(f"{'n':>4} {'seconds':>12} {'ratio':>8}")
+    print(f"{'n':>4} {'seconds':>12} {'ratio':>8} {'P(n, n)':>14} {'closed form':>14}")
     previous = None
-    for n, seconds in rows:
+    for n, seconds, p, exact in rows:
         ratio = "" if previous is None else f"{seconds / previous:>8.2f}"
-        print(f"{n:>4} {seconds:>12.6f} {ratio:>8}")
+        print(f"{n:>4} {seconds:>12.6f} {ratio:>8} {p:>14.6e} {exact:>14.6e}")
         previous = seconds
     print("wrote hafnian_bench.csv")
 

@@ -17,7 +17,8 @@ unknown gates, wrong arities, and non-finite numbers are rejected with a
 :class:`~tfsim.exceptions.SchemaError` that names the offending location.
 
 Gate names and target counts come from the gate table :data:`tfsim.gaussian.GATES`;
-parameters, and each input width as a scale factor, pass its one check,
+each target passes its one mode check, :func:`tfsim.gaussian.mode_indices`, and the
+parameters, and each input width as a scale factor, its one gate check,
 :func:`tfsim.gaussian.gate_block`, at parse time. Each input mode starts as a
 Gaussian of the given spectral width (width 1 is the reference vacuum),
 implemented as a bandwidth-scaling gate on the unit vacuum; the ops then run
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SchemaError, UnknownGateError, _check_cost
-from .gaussian import GATES, GaussianTFState, _step, gate_block
+from .gaussian import GATES, GaussianTFState, _step, gate_block, mode_indices
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -86,10 +87,10 @@ def _number(value, location):
     return value
 
 
-def _check_gate(gate, params, location):
-    """Refuse, at ``location``, parameters that :func:`tfsim.gaussian.gate_block` refuses."""
+def _check(location, check, *args):
+    """Refuse, at ``location``, what ``check(*args)`` refuses with ValueError."""
     try:
-        gate_block(gate, params)
+        check(*args)
     except ValueError as exc:
         raise SchemaError(str(exc), location=location) from exc
 
@@ -105,7 +106,7 @@ def _parse_input(entry, mode):
             location=f"{location}.type",
         )
     width = _number(entry["width"], f"{location}.width")
-    _check_gate("scale", {"s": width}, f"{location}.width")
+    _check(f"{location}.width", gate_block, "scale", {"s": width})
     return width
 
 
@@ -123,24 +124,16 @@ def _parse_op(entry, index, modes):
         raise SchemaError(
             f"gate {gate!r} takes exactly {arity} target(s)", location=f"{location}.targets"
         )
-    clean_targets = []
-    for j, t in enumerate(targets):
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise SchemaError("targets must be integers", location=f"{location}.targets[{j}]")
-        if not 0 <= t < modes:
-            raise SchemaError(
-                f"target {t} outside 0..{modes - 1}", location=f"{location}.targets[{j}]"
-            )
-        clean_targets.append(t)
-    if len(set(clean_targets)) != arity:
-        raise SchemaError("targets must be distinct", location=f"{location}.targets")
+    for j, target in enumerate(targets):
+        _check(f"{location}.targets[{j}]", mode_indices, (target,), modes)
+    _check(f"{location}.targets", mode_indices, targets, modes)
     raw_params = entry.get("params", {})
     location = f"{location}.params"
     if not isinstance(raw_params, dict):
         raise SchemaError("expected an object", location=location)
     params = {name: _number(value, f"{location}.{name}") for name, value in raw_params.items()}
-    _check_gate(gate, params, location)
-    return GateSpec(gate=gate, targets=tuple(clean_targets), params=params)
+    _check(location, gate_block, gate, params)
+    return GateSpec(gate=gate, targets=tuple(targets), params=params)
 
 
 def parse_circuit(text):

@@ -114,8 +114,10 @@ def vacuum_state(n_modes):
 
 
 def mode_indices(modes, n_modes):
-    """Rows (omega_m..., t_m...) of the given distinct modes in a 2N vector."""
+    """Rows (omega_m..., t_m...) of distinct non-bool integer modes in 0..N-1, else ValueError."""
     for mode in modes:
+        if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
+            raise ValueError(f"mode {mode!r} is not an integer")
         if not 0 <= mode < n_modes:
             raise ValueError(f"mode {mode} outside 0..{n_modes - 1}")
     if len(set(modes)) != len(modes):
@@ -176,11 +178,13 @@ GATES = {
 
 
 def gate_block(name, params):
-    """Table block and shift of gate ``name``: the one check of a gate's parameters.
+    """Table block and shift of gate ``name``: the one check of a gate's name and parameters.
 
-    ``params`` must name exactly the table's parameters, pass the builder's own domain
-    check (``s > 0``, finite displacements) and give a finite block; else ValueError.
+    ValueError unless ``name`` is in the table and ``params`` names exactly its parameters,
+    passes the builder's domain check (``s > 0``, finite displacements) and gives a finite block.
     """
+    if name not in GATES:
+        raise ValueError(f"unknown gate {name!r}; expected one of {sorted(GATES)}")
     gate, names = GATES[name], params.keys()
     if names != set(gate.params):
         missing, unknown = sorted(set(gate.params) - names), sorted(names - set(gate.params))
@@ -194,9 +198,13 @@ def gate_block(name, params):
 
 @np.errstate(over="ignore", invalid="ignore")  # GaussianTFState rejects the result
 def _step(mean, cov, gate, targets, params):
-    """Apply one table gate in place to the targets' rows and columns only."""
-    idx = mode_indices(targets, mean.size // 2)
+    """Apply one table gate in place to the targets' rows and columns only: the one check
+    of a step (gate_block, the gate's target count, mode_indices) for apply and run_circuit.
+    """
     block, shift = gate_block(gate, params)
+    if len(targets) != GATES[gate].arity:
+        raise ValueError(f"gate {gate!r} takes exactly {GATES[gate].arity} target(s)")
+    idx = mode_indices(targets, mean.size // 2)
     cov[idx, :] = block @ cov[idx, :]
     cov[:, idx] = cov[:, idx] @ block.T
     mean[idx] = block @ mean[idx]
@@ -211,10 +219,6 @@ def apply(state, gate, targets, **params):
     Gates, targets and parameters are named as in a circuit file's ops, e.g.
     ``apply(state, "frft", (0,), phi=0.7)``.
     """
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}")
-    if len(targets) != GATES[gate].arity:
-        raise ValueError(f"gate {gate!r} takes exactly {GATES[gate].arity} target(s)")
     mean, cov = state.mean.copy(), state.cov.copy()
     _step(mean, cov, gate, targets, params)
     return GaussianTFState(mean, cov)

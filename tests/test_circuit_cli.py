@@ -151,6 +151,43 @@ def test_op_target_validation():
     with pytest.raises(SchemaError):
         parse(doc)
 
+    # Every mode rule is gaussian.mode_indices': once per target, then distinctness.
+    cases = [
+        ([0, True], "$.ops[0].targets[1]: mode True is not an integer"),
+        ([0.5, 1], "$.ops[0].targets[0]: mode 0.5 is not an integer"),
+        (["0", 1], "$.ops[0].targets[0]: mode '0' is not an integer"),
+        ([0, 2], "$.ops[0].targets[1]: mode 2 outside 0..1"),
+        ([-1, 1], "$.ops[0].targets[0]: mode -1 outside 0..1"),
+        ([1, 1], "$.ops[0].targets: modes (1, 1) must be distinct"),
+    ]
+    for targets, message in cases:
+        doc["ops"][0]["targets"] = targets
+        with pytest.raises(SchemaError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "$: expected a JSON object"),
+        ({**VACUUM_1, "modes": 0}, "$.modes: modes must be an integer >= 1"),
+        ({**VACUUM_1, "modes": True}, "$.modes: modes must be an integer >= 1"),
+        ({**VACUUM_1, "ops": {}}, "$.ops: ops must be a list"),
+        ({**VACUUM_1, "inputs": [1.0]}, "$.inputs[0]: expected an object"),
+        ({**VACUUM_1, "ops": [[]]}, "$.ops[0]: expected an object"),
+        (
+            {**VACUUM_1, "ops": [{"gate": "frft", "targets": [0], "params": [0.7]}]},
+            "$.ops[0].params: expected an object",
+        ),
+    ],
+    ids=["not-an-object", "modes-0", "modes-true", "ops-object", "input", "op", "params"],
+)
+def test_json_shape_refusals(doc, message):
+    with pytest.raises(SchemaError) as excinfo:
+        parse(doc)
+    assert str(excinfo.value) == message
+
 
 def test_op_param_validation():
     doc = json.loads(json.dumps(MIXER_2))
@@ -415,6 +452,12 @@ def test_cli_metrology_invalid_photons(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "error"
     assert err["error"]["exit_code"] == 1
+    assert cli.main(["metrology", "--photons", "6..2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "error" and err["exit_code"] == 1
+    assert err["message"] == "empty photon range '6..2'"
 
 
 def test_cli_fgbs_prob_vacuum(tmp_path, capsys):

@@ -177,7 +177,7 @@ def test_gate_symplectic_dispatch():
         assert np.max(np.abs(out.cov - S @ state.cov @ S.T)) < 1e-13
         assert np.max(np.abs(out.mean - (S @ state.mean + shift))) < 1e-13
 
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown gate"):
         g.gate_block("squeeze", {})
     with pytest.raises(ValueError, match="unknown keys \\['extra'\\]"):
         g.gate_block("frft", {"phi": 0.3, "extra": 1})
@@ -214,6 +214,34 @@ def test_apply_rejects_wrong_arity_unknown_gate_and_bad_target():
         g.apply(state, "frft", (2,), phi=0.1)
     with pytest.raises(ValueError, match="outside 0..1"):
         g.apply(state, "frft", (-1,), phi=0.1)
+    # apply, run_circuit, reduce_to_mode and wigner_eval share mode_indices: a mode is a
+    # Python or NumPy integer, never a bool, a float or a string.
+    from tfsim.circuit import CircuitSpec, GateSpec, run_circuit
+
+    def run(gate, targets, **params):
+        return run_circuit(CircuitSpec(2, (1.0, 1.0), (GateSpec(gate, targets, params),)))
+
+    grid = g.PhaseSpaceGrid(-1.0, 1.0, 2, -1.0, 1.0, 2)
+    with pytest.raises(ValueError, match="unknown gate"):
+        run("squeeze", (0,), r=0.1)
+    with pytest.raises(ValueError, match="exactly 2 target"):
+        run("fbs", (0,))
+    with pytest.raises(ValueError, match="exactly 1 target"):
+        run("frft", (0, 1), phi=0.1)
+    for mode in (True, np.True_, 0.5, "0"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            g.apply(state, "frft", (mode,), phi=0.1)
+        with pytest.raises(ValueError, match="is not an integer"):
+            run("frft", (mode,), phi=0.1)
+        with pytest.raises(ValueError, match="is not an integer"):
+            g.reduce_to_mode(state, mode)
+        with pytest.raises(ValueError, match="is not an integer"):
+            g.wigner_eval(state, grid, mode=mode)
+    one = np.int64(1)
+    assert np.array_equal(g.apply(state, "frft", (one,), phi=0.1).cov,
+                          g.apply(state, "frft", (1,), phi=0.1).cov)
+    assert np.array_equal(run("fbs", (np.int64(0), one)).cov, run("fbs", (0, 1)).cov)
+    assert np.array_equal(g.reduce_to_mode(state, one).cov, g.reduce_to_mode(state, 1).cov)
 
 
 def test_purity_preserved_by_random_circuits():
@@ -235,6 +263,8 @@ def test_covariance_validation():
         g.GaussianTFState(np.zeros(2), 0.1 * np.eye(2))
     with pytest.raises(ValueError):
         g.GaussianTFState(np.zeros(3), 0.5 * np.eye(3))
+    with pytest.raises(ValueError, match="cov must be square with the same 2N dimension"):
+        g.GaussianTFState(np.zeros(2), np.eye(4))
 
 
 def test_checked_states_are_read_only_copies():

@@ -124,9 +124,13 @@ def test_dimension_and_shape_guards():
         hf.hafnian(np.zeros((34, 34)))  # beyond recursion limit
     with pytest.raises(ValueError):
         hf.hafnian_perm_sum(np.zeros((10, 10)))  # beyond oracle limit
+    with pytest.raises(ValueError, match="even dimension"):
+        hf.hafnian_perm_sum(np.zeros((3, 3)))
     asym = np.arange(16.0).reshape(4, 4)
     with pytest.raises(ValueError):
         hf.hafnian(asym)
+    with pytest.raises(ValueError, match="symmetric"):
+        hf.hafnian(asym.astype(int).astype(object))
 
 
 def test_reduce_structure():

@@ -56,6 +56,25 @@ def test_hg_value_rejects_bad_arguments():
         hg.hg_value(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         hg.hg_value(0, -2.0, 0.0)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        hg.hermite_functions(-1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda f: hg.decompose(f, cutoff=-1), "cutoff must be >= 0"),
+        (  # the contract asks for order 2 * 5 + MIN_ORDER_MARGIN = 26
+            lambda f: hg.decompose(f, cutoff=5, rule=hg.gauss_hermite(10)),
+            "rule order 10 below contract minimum 26",
+        ),
+        (lambda f: hg.decompose(lambda w: 1.0, cutoff=2), "f must map an ndarray"),
+    ],
+    ids=["negative-cutoff", "rule-below-minimum", "f-wrong-shape"],
+)
+def test_decompose_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(lambda w: np.exp(-w * w / 2.0))
 
 
 def test_hg_value_high_order_far_tail():
