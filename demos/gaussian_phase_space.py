@@ -5,6 +5,8 @@ gates, verifies the structural invariants, and writes the Wigner function to
 CSV (and to PNG when matplotlib is available).
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from tfsim import gaussian as g
@@ -30,7 +32,8 @@ def main():
 
     grid = g.PhaseSpaceGrid(-5, 7, 161, -6, 6, 161)
     field = g.wigner_eval(state, grid)
-    g.wigner_csv_text(state, grid, path="wigner_demo.csv")
+    csv = g.wigner_csv_text(state, grid)
+    Path("wigner_demo.csv").write_text(csv, encoding="utf-8", newline="\n")
     total = np.trapezoid(np.trapezoid(field, grid.t_axis, axis=1), grid.omega_axis)
     print(f"wrote wigner_demo.csv; grid integral = {total:.8f} (exact: 1)")
     print(f"peak value {field.max():.6f} (pure-state ceiling 1/pi = {1 / np.pi:.6f})")

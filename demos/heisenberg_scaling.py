@@ -8,6 +8,8 @@ asymptotic window N = 20..100 that acceptance criterion 6 checks, against the
 shot-noise and Heisenberg references.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from tfsim import metrology as mt
@@ -29,7 +31,8 @@ def main():
         )
 
     rows = mt.precision_sweep(n_values, "fisher")
-    mt.sweep_csv_text(rows, path="precision_sweep.csv")
+    csv = mt.sweep_csv_text(rows)
+    Path("precision_sweep.csv").write_text(csv, encoding="utf-8", newline="\n")
     print("wrote precision_sweep.csv")
 
     slope = mt.heisenberg_slope(n_values)

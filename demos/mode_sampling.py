@@ -6,6 +6,7 @@ compares empirical frequencies with the exact values.
 """
 
 from collections import Counter
+from pathlib import Path
 
 from tfsim import fgbs
 from tfsim import gaussian as g
@@ -36,7 +37,8 @@ def main():
     off_diagonal = sum(v for k, v in counts.items() if k[0] != k[1])
     print(f"draws off the correlated diagonal: {off_diagonal} (exactly correlated pair)")
 
-    fgbs.probability_table_csv(dist, cutoff=4, path="pattern_table.csv")
+    table = fgbs.probability_table_csv(dist, cutoff=4)
+    Path("pattern_table.csv").write_text(table, encoding="utf-8", newline="\n")
     print("wrote pattern_table.csv")
     text = fgbs.samples_to_jsonl(samples[:5])
     print("first shots as JSON lines:")

@@ -1,21 +1,19 @@
-"""The one text writer behind every CSV/JSONL table and every ``--out`` file.
+"""The one table formatter behind every CSV/JSONL table; it writes nothing.
 
 A table is a header plus rows, and each row is a sequence of pieces: literal
 strings and columns (:func:`floats`, :func:`ints`, :func:`texts`). Each
 column formats a chunk of rows into a block of bytes, one row of the block
 per table row, with a mask marking which bytes are text. :func:`chunks`
 stacks the blocks of :data:`CHUNK_ROWS` rows side by side and yields the
-masked bytes in row order as one string, so a caller that writes each chunk
-as it comes (the CLI) holds one chunk of the table at a time;
-:func:`table_text` grows the chunks into one string.
+masked bytes in row order as one string, so the CLI's one sink, which writes
+each chunk as it comes, holds one chunk of the table at a time;
+:func:`table_text` grows the chunks into the one string a library writer returns.
 
 Floats are formatted by :mod:`tfsim._float_text`, imported on first use so
 that importing the CLI does not compile it.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -109,20 +107,11 @@ def chunks(header, row, n_rows):
         yield chars[mask].tobytes().decode("utf-8")
 
 
-def table_text(header, row, n_rows, path=None):
-    """The text of :func:`chunks` as one string; each chunk is also written to
-    ``path`` as it is formed, when one is given."""
-    with contextlib.nullcontext() if path is None else out_file(path) as out:
-        text = ""
-        for chunk in chunks(header, row, n_rows):
-            if out is not None:
-                out.write(chunk)
-            # CPython grows a string that has one reference in place, so the table
-            # is held once, never as chunks plus their join.
-            text += chunk
+def table_text(header, row, n_rows):
+    """The text of :func:`chunks` as one string."""
+    text = ""
+    for chunk in chunks(header, row, n_rows):
+        # CPython grows a string that has one reference in place, so the table
+        # is held once, never as chunks plus their join.
+        text += chunk
     return text
-
-
-def out_file(path):
-    """``path`` opened for a table's text: UTF-8, LF line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")

@@ -16,10 +16,10 @@ The "schema" key may be omitted on input and defaults to "tfsim/1";
 unknown gates, wrong arities, and non-finite numbers are rejected with a
 :class:`~tfsim.exceptions.SchemaError` that names the offending location.
 
-Gate names and target counts come from the gate table :data:`tfsim.gaussian.GATES`;
-each target passes its one mode check, :func:`tfsim.gaussian.mode_indices`, and the
-parameters, and each input width as a scale factor, its one gate check,
-:func:`tfsim.gaussian.gate_block`, at parse time. Each input mode starts as a
+The parser and :func:`run_circuit` share one rule each for the mode count, one
+input per mode and each op's target count; each target passes its one mode check,
+:func:`tfsim.gaussian.mode_indices`, and the parameters, and each input width as a
+scale factor, its one gate check, :func:`tfsim.gaussian.gate_block`. Each input mode starts as a
 Gaussian of the given spectral width (width 1 is the reference vacuum),
 implemented as a bandwidth-scaling gate on the unit vacuum; the ops then run
 in order. :func:`gate_ops` lists these steps as :class:`GateSpec` entries, the
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SchemaError, UnknownGateError, _check_cost
-from .gaussian import GATES, GaussianTFState, _step, gate_block, mode_indices
+from .gaussian import (GATES, GaussianTFState, _check_mode_count, _check_target_count, _step,
+                       gate_block, mode_indices)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -70,6 +71,8 @@ class CircuitSpec:
 
 
 def _require_keys(obj, required, optional, location):
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", location=location)
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise SchemaError(f"unknown keys {unknown}", location=location)
@@ -95,10 +98,14 @@ def _check(location, check, *args):
         raise SchemaError(str(exc), location=location) from exc
 
 
+def _check_input_count(modes, inputs):
+    """The one input-count rule: ValueError unless one input width per mode."""
+    if not isinstance(inputs, (list, tuple)) or len(inputs) != modes:
+        raise ValueError(f"inputs must list exactly {modes} entries")
+
+
 def _parse_input(entry, mode):
     location = f"$.inputs[{mode}]"
-    if not isinstance(entry, dict):
-        raise SchemaError("expected an object", location=location)
     _require_keys(entry, ("type", "width"), (), location)
     if entry["type"] != "gaussian":
         raise SchemaError(
@@ -112,18 +119,12 @@ def _parse_input(entry, mode):
 
 def _parse_op(entry, index, modes):
     location = f"$.ops[{index}]"
-    if not isinstance(entry, dict):
-        raise SchemaError("expected an object", location=location)
     _require_keys(entry, ("gate", "targets"), ("params",), location)
     gate = entry["gate"]
     if not isinstance(gate, str) or gate not in GATES:
         raise UnknownGateError(f"unknown gate {gate!r}", location=f"{location}.gate")
-    arity = GATES[gate].arity
     targets = entry["targets"]
-    if not isinstance(targets, list) or len(targets) != arity:
-        raise SchemaError(
-            f"gate {gate!r} takes exactly {arity} target(s)", location=f"{location}.targets"
-        )
+    _check(f"{location}.targets", _check_target_count, gate, targets)
     for j, target in enumerate(targets):
         _check(f"{location}.targets[{j}]", mode_indices, (target,), modes)
     _check(f"{location}.targets", mode_indices, targets, modes)
@@ -152,12 +153,9 @@ def parse_circuit(text):
             f"unsupported schema {doc['schema']!r}; expected {SCHEMA_VERSION!r}",
             location="$.schema",
         )
-    modes = doc["modes"]
-    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
-        raise SchemaError("modes must be an integer >= 1", location="$.modes")
-    inputs = doc["inputs"]
-    if not isinstance(inputs, list) or len(inputs) != modes:
-        raise SchemaError(f"inputs must list exactly {modes} entries", location="$.inputs")
+    modes, inputs = doc["modes"], doc["inputs"]
+    _check("$.modes", _check_mode_count, modes)
+    _check("$.inputs", _check_input_count, modes, inputs)
     widths = tuple(_parse_input(entry, i) for i, entry in enumerate(inputs))
     ops_doc = doc["ops"]
     if not isinstance(ops_doc, list):
@@ -197,6 +195,8 @@ def run_circuit(spec):
     allocated. Each step updates only its targets' rows and columns; the state is
     validated once, at the end.
     """
+    _check_mode_count(spec.modes)
+    _check_input_count(spec.modes, spec.inputs)
     _check_cost((2 * spec.modes) ** 2, f"circuit of {spec.modes} modes")
     mean = np.zeros(2 * spec.modes)
     cov = 0.5 * np.eye(2 * spec.modes)

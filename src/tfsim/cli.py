@@ -20,9 +20,9 @@ wigner
 Outputs are byte-deterministic for identical inputs and seed: JSON is
 emitted with sorted keys and CSV numbers with 17 significant digits. Every
 computation, validation and cost guard finishes before the first byte is
-written; tables are then written to stdout or ``--out`` a chunk of rows at a
-time, so peak memory is the computed values plus one chunk. Errors are
-reported as a JSON object on stderr and a distinct exit code:
+written; :func:`_write`, the one output sink, then writes tables to stdout or
+``--out`` a chunk of rows at a time, so peak memory is the computed values plus
+one chunk. Errors are reported as a JSON object on stderr and a distinct exit code:
 2 file-not-found, 3 schema violation, 4 cost guard, 5 insufficient sampling
 mass, 1 anything else (including a --circuit path that cannot be read, and a
 write that fails part-way, such as a closed pipe, which stops the output and
@@ -38,7 +38,7 @@ import os
 import sys
 
 from . import fgbs, metrology, twophoton
-from ._text import chunks, out_file
+from ._text import chunks
 from .circuit import parse_circuit, run_circuit
 from .exceptions import (
     CostGuardError,
@@ -227,9 +227,9 @@ def _emit_error(kind, message, code):
 
 
 def _write(texts, path):
-    """Write each text as it comes, to ``path`` or else to stdout."""
+    """The one output sink: each text as it comes, to ``path`` (UTF-8, LF) or to stdout."""
     if path is not None:
-        with out_file(path) as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(texts)
         return
     try:

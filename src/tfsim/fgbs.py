@@ -122,11 +122,15 @@ def build_distribution(state):
     )
 
 
-def _real(values):
-    """Real part of probabilities computed in complex; an imaginary residue is refused."""
+def _probabilities(dist, hafnians):
+    """The one finish of pattern probabilities: ``dist.prefactor`` times the hafnians,
+    whose imaginary residue above IMAG_TOL, or a value below -1e-9, is refused."""
+    values = dist.prefactor * hafnians
     residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_TOL:
         raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
+    if float(np.min(values.real)) < -1e-9:
+        raise ArithmeticError(f"negative probability {np.min(values.real):.3e} encountered")
     return values.real
 
 
@@ -143,7 +147,7 @@ def probability(dist, pattern):
     active = [i for i, v in enumerate(pattern) if v]
     idx = active + [dist.n_modes + i for i in active]
     corner = hafnian_corner(dist.a_matrix[np.ix_(idx, idx)], [pattern[i] + 1 for i in active] * 2)
-    return float(_real(dist.prefactor * corner))
+    return float(_probabilities(dist, corner))
 
 
 def _pure_wavefunction_params(state):
@@ -200,16 +204,13 @@ def oracle_probability(state, pattern):
 def _enumerate_probabilities(dist, cutoff):
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    cost = (cutoff + 1) ** (2 * dist.n_modes)
-    _check_cost(cost, f"enumerating patterns up to cutoff {cutoff}")
+    _check_cost((cutoff + 1) ** (2 * dist.n_modes), f"enumerating patterns up to cutoff {cutoff}")
     patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
     box = hafnian_box(dist.a_matrix, [cutoff + 1] * (2 * dist.n_modes))
-    probs = _real(dist.prefactor * box.reshape(len(patterns), -1).diagonal())
-    if dist.is_pure:
-        probs[[sum(p) % 2 == 1 for p in patterns]] = 0.0
-    if float(probs.min()) < -1e-9:
-        raise ArithmeticError(f"negative probability {probs.min():.3e} encountered")
-    return patterns, np.clip(probs, 0.0, None)
+    hafnians = box.reshape(len(patterns), -1).diagonal()
+    if dist.is_pure:  # pure sources place no mass on odd totals
+        hafnians = np.where([sum(p) % 2 == 1 for p in patterns], 0.0, hafnians)
+    return patterns, np.clip(_probabilities(dist, hafnians), 0.0, None)
 
 
 def total_probability(dist, cutoff):
@@ -250,15 +251,15 @@ def _samples_table(samples):
     return "", row, codes.size
 
 
-def samples_to_jsonl(samples, path=None):
-    """Serialize samples as JSON lines {"pattern": [...], "shot": i}; also written to ``path``."""
-    return table_text(*_samples_table(samples), path)
+def samples_to_jsonl(samples):
+    """Serialize samples as JSON lines {"pattern": [...], "shot": i}."""
+    return table_text(*_samples_table(samples))
 
 
-def probability_table_csv(dist, cutoff, path=None):
+def probability_table_csv(dist, cutoff):
     """Tabulate pattern probabilities as CSV (pattern entries ';'-joined)."""
     patterns, probs = _enumerate_probabilities(dist, cutoff)
     modes = np.array(patterns).reshape(len(patterns), dist.n_modes).T
     row = [piece for mode in modes for piece in (";", ints(mode))][1:]
     row += [",", floats(probs), "\n"]
-    return table_text("pattern,probability\n", row, len(patterns), path)
+    return table_text("pattern,probability\n", row, len(patterns))

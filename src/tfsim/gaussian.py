@@ -106,10 +106,15 @@ class GaussianTFState:
         return self.mean.size // 2
 
 
+def _check_mode_count(n_modes):
+    """The one mode-count rule: ValueError unless a non-bool Python or NumPy integer >= 1."""
+    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+        raise ValueError("modes must be an integer >= 1")
+
+
 def vacuum_state(n_modes):
     """N unit-width Gaussian photons: mean 0, covariance I/2."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    _check_mode_count(n_modes)
     return GaussianTFState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
@@ -196,14 +201,18 @@ def gate_block(name, params):
     return block, shift
 
 
+def _check_target_count(gate, targets):
+    """The one target-count rule: ValueError unless a list, tuple or array of the gate's arity."""
+    if not isinstance(targets, (list, tuple, np.ndarray)) or len(targets) != GATES[gate].arity:
+        raise ValueError(f"gate {gate!r} takes exactly {GATES[gate].arity} target(s)")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # GaussianTFState rejects the result
 def _step(mean, cov, gate, targets, params):
-    """Apply one table gate in place to the targets' rows and columns only: the one check
-    of a step (gate_block, the gate's target count, mode_indices) for apply and run_circuit.
-    """
+    """Apply one table gate in place to its targets' rows and columns only, after the one
+    check of a step for apply and run_circuit: gate_block, the target count, mode_indices."""
     block, shift = gate_block(gate, params)
-    if len(targets) != GATES[gate].arity:
-        raise ValueError(f"gate {gate!r} takes exactly {GATES[gate].arity} target(s)")
+    _check_target_count(gate, targets)
     idx = mode_indices(targets, mean.size // 2)
     cov[idx, :] = block @ cov[idx, :]
     cov[:, idx] = cov[:, idx] @ block.T
@@ -369,6 +378,6 @@ def _wigner_table(state, grid, mode):
     return "omega,t,value\n", row, field.size
 
 
-def wigner_csv_text(state, grid, mode=0, path=None):
-    """Wigner field as CSV ``omega,t,value`` rows, omega-major; also written to ``path``."""
-    return table_text(*_wigner_table(state, grid, mode), path)
+def wigner_csv_text(state, grid, mode=0):
+    """Wigner field as CSV ``omega,t,value`` rows, omega-major."""
+    return table_text(*_wigner_table(state, grid, mode))

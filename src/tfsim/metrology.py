@@ -229,9 +229,9 @@ def _sweep_table(rows):
     return "n_photons,phi,estimator,delta_phi\n", row, len(rows)
 
 
-def sweep_csv_text(rows, path=None):
-    """Sweep rows as CSV ``n_photons,phi,estimator,delta_phi``; also written to ``path``."""
-    return table_text(*_sweep_table(rows), path)
+def sweep_csv_text(rows):
+    """Sweep rows as CSV ``n_photons,phi,estimator,delta_phi``."""
+    return table_text(*_sweep_table(rows))
 
 
 def heisenberg_slope(n_values=tuple(range(2, 21, 2)), estimator="fisher"):

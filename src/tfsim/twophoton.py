@@ -207,9 +207,9 @@ def hom_output(n=1):
     return apply_fbs(_pair(n))
 
 
-def jsa_to_csv(jsa, path=None):
-    """Coefficients as CSV ``n,m,re,im`` rows, n-major; also written to ``path``."""
+def jsa_to_csv(jsa):
+    """Coefficients as CSV ``n,m,re,im`` rows, n-major."""
     coeffs = jsa.coeffs
     n, m = np.indices(coeffs.shape)
     row = [ints(n), ",", ints(m), ",", floats(coeffs.real), ",", floats(coeffs.imag), "\n"]
-    return table_text("n,m,re,im\n", row, coeffs.size, path)
+    return table_text("n,m,re,im\n", row, coeffs.size)

@@ -173,6 +173,9 @@ def test_op_target_validation():
         ([], "$: expected a JSON object"),
         ({**VACUUM_1, "modes": 0}, "$.modes: modes must be an integer >= 1"),
         ({**VACUUM_1, "modes": True}, "$.modes: modes must be an integer >= 1"),
+        ({**VACUUM_1, "modes": 1.0}, "$.modes: modes must be an integer >= 1"),
+        ({**VACUUM_1, "inputs": []}, "$.inputs: inputs must list exactly 1 entries"),
+        ({**VACUUM_1, "inputs": {}}, "$.inputs: inputs must list exactly 1 entries"),
         ({**VACUUM_1, "ops": {}}, "$.ops: ops must be a list"),
         ({**VACUUM_1, "inputs": [1.0]}, "$.inputs[0]: expected an object"),
         ({**VACUUM_1, "ops": [[]]}, "$.ops[0]: expected an object"),
@@ -180,8 +183,13 @@ def test_op_target_validation():
             {**VACUUM_1, "ops": [{"gate": "frft", "targets": [0], "params": [0.7]}]},
             "$.ops[0].params: expected an object",
         ),
+        (
+            {**VACUUM_1, "ops": [{"gate": "frft", "targets": 0, "params": {"phi": 0.7}}]},
+            "$.ops[0].targets: gate 'frft' takes exactly 1 target(s)",
+        ),
     ],
-    ids=["not-an-object", "modes-0", "modes-true", "ops-object", "input", "op", "params"],
+    ids=["not-an-object", "modes-0", "modes-true", "modes-float", "inputs-short",
+         "inputs-object", "ops-object", "input", "op", "params", "targets-not-a-list"],
 )
 def test_json_shape_refusals(doc, message):
     with pytest.raises(SchemaError) as excinfo:
@@ -480,6 +488,17 @@ def test_cli_fgbs_prob_matches_library(tmp_path, capsys):
     assert payload["probability"] == pytest.approx(
         fgbs.probability(dist, (2, 0)), rel=1e-15
     )
+
+
+def test_cli_fgbs_prob_refuses_a_negative_probability(tmp_path, capsys, monkeypatch):
+    path = write_circuit(tmp_path, MIXER_2)
+    monkeypatch.setattr(fgbs, "hafnian_corner", lambda a, sides: np.complex128(-1e-6))
+    assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "2,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "error" and error["exit_code"] == 1
+    assert error["message"].startswith("negative probability")
 
 
 def test_cli_missing_circuit_file(capsys):

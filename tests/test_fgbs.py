@@ -358,24 +358,38 @@ def test_enumeration_rejects_negative_cutoff():
             call()
 
 
-def test_samples_to_jsonl(tmp_path):
+def test_negative_probability_is_refused_by_both_routes(monkeypatch):
+    # One pattern and a table share one finish: a kernel value whose probability is
+    # below -1e-9 is an ArithmeticError on either route; the table alone clips above it.
+    dist = fgbs.build_distribution(scaled_state(1.2))
+    monkeypatch.setattr(fgbs, "hafnian_corner", lambda a, sides: np.complex128(-1e-6))
+    with pytest.raises(ArithmeticError, match="negative probability"):
+        fgbs.probability(dist, (2,))
+    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-6 + 0j))
+    for call in (
+        lambda: fgbs.total_probability(dist, cutoff=2),
+        lambda: fgbs.probability_table_csv(dist, cutoff=2),
+        lambda: fgbs.sample(dist, shots=1, rng_seed=0, cutoff=2),
+    ):
+        with pytest.raises(ArithmeticError, match="negative probability"):
+            call()
+    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-12 + 0j))
+    assert fgbs.probability_table_csv(dist, cutoff=1) == "pattern,probability\n0,0\n1,0\n"
+
+
+def test_samples_to_jsonl():
     text = fgbs.samples_to_jsonl([(0, 2), (1, 1)])
     lines = text.splitlines()
     assert lines[0] == '{"pattern": [0, 2], "shot": 0}'
     assert lines[1] == '{"pattern": [1, 1], "shot": 1}'
     assert text.endswith("\n")
     assert fgbs.samples_to_jsonl([]) == ""
-
-    path = tmp_path / "samples.jsonl"
-    fgbs.samples_to_jsonl([(3,)], path=path)
-    assert path.read_text() == '{"pattern": [3], "shot": 0}\n'
+    assert fgbs.samples_to_jsonl([(3,)]) == '{"pattern": [3], "shot": 0}\n'
 
 
-def test_probability_table_csv(tmp_path):
+def test_probability_table_csv():
     dist = fgbs.build_distribution(scaled_state(1.2))
-    path = tmp_path / "table.csv"
-    text = fgbs.probability_table_csv(dist, cutoff=2, path=path)
-    assert path.read_text() == text
+    text = fgbs.probability_table_csv(dist, cutoff=2)
     lines = text.splitlines()
     assert lines[0] == "pattern,probability"
     assert len(lines) == 4

@@ -1,11 +1,18 @@
 """Tests for Gaussian chronocyclic states, symplectic gates, and quasiprobabilities."""
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tfsim import gaussian as g
+from tfsim.circuit import CircuitSpec, GateSpec, run_circuit
+
+
+def run_spec(modes, inputs, *ops):
+    return run_circuit(CircuitSpec(modes, inputs, ops))
 
 
 def random_circuit_state(rng, n_modes, n_gates=5, with_displacement=False):
@@ -216,8 +223,6 @@ def test_apply_rejects_wrong_arity_unknown_gate_and_bad_target():
         g.apply(state, "frft", (-1,), phi=0.1)
     # apply, run_circuit, reduce_to_mode and wigner_eval share mode_indices: a mode is a
     # Python or NumPy integer, never a bool, a float or a string.
-    from tfsim.circuit import CircuitSpec, GateSpec, run_circuit
-
     def run(gate, targets, **params):
         return run_circuit(CircuitSpec(2, (1.0, 1.0), (GateSpec(gate, targets, params),)))
 
@@ -242,6 +247,34 @@ def test_apply_rejects_wrong_arity_unknown_gate_and_bad_target():
                           g.apply(state, "frft", (1,), phi=0.1).cov)
     assert np.array_equal(run("fbs", (np.int64(0), one)).cov, run("fbs", (0, 1)).cov)
     assert np.array_equal(g.reduce_to_mode(state, one).cov, g.reduce_to_mode(state, 1).cov)
+    # A NumPy mode count and an array of targets pass the count rules.
+    assert np.array_equal(g.vacuum_state(np.int64(2)).cov, state.cov)
+    assert np.array_equal(run_spec(np.int64(2), (1.0, 1.0), GateSpec("fbs", np.array([0, 1]))).cov,
+                          run("fbs", (0, 1)).cov)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: g.vacuum_state(True), "modes must be an integer >= 1"),
+        (lambda: g.vacuum_state(2.5), "modes must be an integer >= 1"),
+        (lambda: g.vacuum_state(0), "modes must be an integer >= 1"),
+        (lambda: run_spec(True, (1.0,)), "modes must be an integer >= 1"),
+        (lambda: run_spec(2.5, (1.0, 1.0)), "modes must be an integer >= 1"),
+        (lambda: run_spec(2, (1.0,)), "inputs must list exactly 2 entries"),
+        (lambda: run_spec(1, 1.0), "inputs must list exactly 1 entries"),
+        (lambda: g.apply(g.vacuum_state(2), "fbs", 0), "gate 'fbs' takes exactly 2 target(s)"),
+        (lambda: run_spec(2, (1.0, 1.0), GateSpec("fbs", 0)),
+         "gate 'fbs' takes exactly 2 target(s)"),
+    ],
+    ids=["vacuum-bool", "vacuum-float", "vacuum-0", "run-bool", "run-float", "run-inputs",
+         "run-inputs-not-a-list", "apply-targets-int", "run-targets-int"],
+)
+def test_counts_are_the_parser_rules(call, message):
+    # vacuum_state, apply and run_circuit on a hand-built CircuitSpec refuse a mode
+    # count, an input count and a target list with the parser's rule and wording.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_purity_preserved_by_random_circuits():
@@ -441,7 +474,7 @@ def test_complex_covariance_of_scaled_mode():
     assert np.max(np.abs(sigma_c - sigma_c.conj().T)) < 1e-13
 
 
-def test_wigner_csv_round_trip(tmp_path):
+def test_wigner_csv_round_trip():
     state = g.apply(g.vacuum_state(1), "scale", (0,), s=1.2)
     grid = g.PhaseSpaceGrid(-2, 2, 5, -3, 3, 7)
     text = g.wigner_csv_text(state, grid)
@@ -450,11 +483,8 @@ def test_wigner_csv_round_trip(tmp_path):
     assert lines[0] == "omega,t,value"
     assert len(lines) == 1 + 5 * 7
 
-    path = tmp_path / "wigner.csv"
     field = g.wigner_eval(state, grid)
-    assert g.wigner_csv_text(state, grid, path=path) == text
-    assert path.read_text() == text
-    w_vals, t_vals, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    w_vals, t_vals, values = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
     assert np.max(np.abs(values.reshape(5, 7) - field)) == 0.0
     assert np.allclose(w_vals.reshape(5, 7)[:, 0], grid.omega_axis)
     assert np.allclose(t_vals.reshape(5, 7)[0, :], grid.t_axis)

@@ -16,7 +16,7 @@ import numpy as np
 
 from tfsim import circuit as ct
 from tfsim import cli, fgbs
-from tfsim._text import CHUNK_ROWS
+from tfsim._text import CHUNK_ROWS, chunks, ints, texts
 from tfsim import gaussian as g
 from tfsim import metrology as mt
 from tfsim import twophoton as tp
@@ -122,7 +122,7 @@ def test_sweep_csv_bytes_with_inf_row():
     assert text == ref_sweep_csv(rows)
 
 
-def test_jsa_csv_bytes_signed_zero_and_negative_imaginary(tmp_path):
+def test_jsa_csv_bytes_signed_zero_and_negative_imaginary():
     coeffs = np.array(
         [
             [complex(0.6, -0.0), complex(-0.0, -0.3)],
@@ -138,9 +138,7 @@ def test_jsa_csv_bytes_signed_zero_and_negative_imaginary(tmp_path):
     large = tp.JointSpectralAmplitude(coeffs=c)
     texts = {}
     for name, jsa in (("small", small), ("large", large)):
-        path = tmp_path / f"{name}.csv"
-        tp.jsa_to_csv(jsa, path)
-        texts[name] = path.read_bytes().decode("utf-8")
+        texts[name] = tp.jsa_to_csv(jsa)
         assert texts[name] == ref_jsa_csv(jsa)
     assert texts["small"] == (
         "n,m,re,im\n"
@@ -151,15 +149,12 @@ def test_jsa_csv_bytes_signed_zero_and_negative_imaginary(tmp_path):
     )
 
 
-def test_probability_table_csv_bytes(tmp_path):
+def test_probability_table_csv_bytes():
     dist = fgbs.build_distribution(run_doc(SQUEEZED_2))
-    path = tmp_path / "table.csv"
-    text = fgbs.probability_table_csv(dist, cutoff=4, path=path)
-    assert text == ref_probability_csv(dist, 4)
-    assert path.read_bytes().decode("utf-8") == text
+    assert fgbs.probability_table_csv(dist, cutoff=4) == ref_probability_csv(dist, 4)
 
 
-def test_samples_jsonl_bytes(tmp_path):
+def test_samples_jsonl_bytes():
     assert fgbs.samples_to_jsonl([]) == ref_jsonl([]) == ""
     one_mode = [(3,), (0,), (12,), (0,)]
     assert fgbs.samples_to_jsonl(one_mode) == ref_jsonl(one_mode)
@@ -168,10 +163,7 @@ def test_samples_jsonl_bytes(tmp_path):
 
     dist = fgbs.build_distribution(run_doc(SQUEEZED_2))
     samples = fgbs.sample(dist, shots=10_000, rng_seed=3, cutoff=6)
-    path = tmp_path / "samples.jsonl"
-    text = fgbs.samples_to_jsonl(samples, path=path)
-    assert text == ref_jsonl(samples)
-    assert path.read_bytes().decode("utf-8") == text
+    assert fgbs.samples_to_jsonl(samples) == ref_jsonl(samples)
 
 
 def test_cli_hom_stdout_bytes(capsys):
@@ -212,6 +204,19 @@ def assert_streamed_bytes(argv, want, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == want.encode("utf-8")
+
+
+def test_write_keeps_every_character_across_chunks(tmp_path, capsys):
+    # cli._write, the one sink, writes a table's chunks to a file and to stdout with
+    # every character intact, multi-byte ones included, across chunk boundaries.
+    n = 2 * CHUNK_ROWS + 5
+    row = [ints(range(n)), ",", texts(["ω"], [0] * n), "\n"]
+    want = "h\n" + "".join(f"{i},ω\n" for i in range(n))
+    path = tmp_path / "out.csv"
+    cli._write(chunks("h\n", row, n), path)
+    assert path.read_bytes() == want.encode("utf-8")
+    cli._write(chunks("h\n", row, n), None)
+    assert capsys.readouterr().out == want
 
 
 def test_cli_fgbs_sample_stdout_bytes(tmp_path, capsys):
