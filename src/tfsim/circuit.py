@@ -16,11 +16,11 @@ The "schema" key may be omitted on input and defaults to "tfsim/1";
 unknown gates, wrong arities, and non-finite numbers are rejected with a
 :class:`~tfsim.exceptions.SchemaError` that names the offending location.
 
-The parser and :func:`run_circuit` share one rule each for the mode count, one
-input per mode and each op's target count; each target passes its one mode check,
-:func:`tfsim.gaussian.mode_indices`, and the parameters, and each input width as a
-scale factor, its one gate check, :func:`tfsim.gaussian.gate_block`. Each input mode starts as a
-Gaussian of the given spectral width (width 1 is the reference vacuum),
+The parser and :func:`run_circuit` share one rule each: for the mode count, one input per
+mode and each op's target count; for each parameter and input width (the real rule of
+:mod:`tfsim.exceptions`); for each target (:func:`tfsim.gaussian.mode_indices`); and for
+each gate, an input width as a scale factor (:func:`tfsim.gaussian.gate_block`). Each input
+mode starts as a Gaussian of the given spectral width (width 1 is the reference vacuum),
 implemented as a bandwidth-scaling gate on the unit vacuum; the ops then run
 in order. :func:`gate_ops` lists these steps as :class:`GateSpec` entries, the
 input scalings first, and :func:`run_circuit` folds the gate step of
@@ -31,14 +31,12 @@ columns, so a gate costs O(N).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SchemaError, UnknownGateError, _check_cost
-from .gaussian import (GATES, GaussianTFState, _check_mode_count, _check_target_count, _step,
-                       gate_block, mode_indices)
+from .exceptions import SchemaError, UnknownGateError, _check_cost, _check_int, _check_real
+from .gaussian import GATES, GaussianTFState, _check_target_count, _step, gate_block, mode_indices
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -81,19 +79,10 @@ def _require_keys(obj, required, optional, location):
         raise SchemaError(f"missing keys {missing}", location=location)
 
 
-def _number(value, location):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("expected a number", location=location)
-    value = float(value)
-    if not math.isfinite(value):
-        raise SchemaError("number must be finite", location=location)
-    return value
-
-
 def _check(location, check, *args):
-    """Refuse, at ``location``, what ``check(*args)`` refuses with ValueError."""
+    """``check(*args)``, refusing at ``location`` what it refuses with ValueError."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise SchemaError(str(exc), location=location) from exc
 
@@ -112,7 +101,7 @@ def _parse_input(entry, mode):
             f"unknown input type {entry['type']!r}; only 'gaussian' is supported",
             location=f"{location}.type",
         )
-    width = _number(entry["width"], f"{location}.width")
+    width = _check(f"{location}.width", _check_real, entry["width"], "width")
     _check(f"{location}.width", gate_block, "scale", {"s": width})
     return width
 
@@ -132,7 +121,7 @@ def _parse_op(entry, index, modes):
     location = f"{location}.params"
     if not isinstance(raw_params, dict):
         raise SchemaError("expected an object", location=location)
-    params = {name: _number(value, f"{location}.{name}") for name, value in raw_params.items()}
+    params = {k: _check(f"{location}.{k}", _check_real, v, k) for k, v in raw_params.items()}
     _check(location, gate_block, gate, params)
     return GateSpec(gate=gate, targets=tuple(targets), params=params)
 
@@ -154,7 +143,7 @@ def parse_circuit(text):
             location="$.schema",
         )
     modes, inputs = doc["modes"], doc["inputs"]
-    _check("$.modes", _check_mode_count, modes)
+    modes = _check("$.modes", _check_int, modes, "modes", 1)
     _check("$.inputs", _check_input_count, modes, inputs)
     widths = tuple(_parse_input(entry, i) for i, entry in enumerate(inputs))
     ops_doc = doc["ops"]
@@ -195,8 +184,10 @@ def run_circuit(spec):
     allocated. Each step updates only its targets' rows and columns; the state is
     validated once, at the end.
     """
-    _check_mode_count(spec.modes)
+    _check_int(spec.modes, "modes", 1)
     _check_input_count(spec.modes, spec.inputs)
+    for width in spec.inputs:
+        _check_real(width, "width")
     _check_cost((2 * spec.modes) ** 2, f"circuit of {spec.modes} modes")
     mean = np.zeros(2 * spec.modes)
     cov = 0.5 * np.eye(2 * spec.modes)

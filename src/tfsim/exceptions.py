@@ -1,5 +1,7 @@
-"""Exception types and the cost guard shared across the package."""
+"""Exception types, the cost guard and the scalar rules shared across the package."""
 
+import math
+import numbers
 import os
 
 __all__ = [
@@ -23,6 +25,24 @@ def _check_cost(cost, what):
     limit = int(env)
     if cost > limit:
         raise CostGuardError(f"{what} costs {cost} > limit {limit}")
+
+
+def _check_int(value, name, minimum=0):
+    """The one count rule: int(value), else ValueError unless a non-bool integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)
+
+
+def _check_real(value, name, positive=False):
+    """The one real-number rule: float(value), else ValueError unless a finite non-bool real
+    number (so no complex number or string), > 0 when ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or (positive and not value > 0):
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite")
+    return value
 
 
 class TfsimError(Exception):

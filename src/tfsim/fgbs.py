@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import floats, ints, table_text, texts
-from .exceptions import CostGuardError, InsufficientMassError, _check_cost
+from .exceptions import CostGuardError, InsufficientMassError, _check_cost, _check_int
 from .gaussian import _inverse_and_det, purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, hafnian_box, hafnian_corner
 from .hg import gauss_hermite, hermite_functions
@@ -87,6 +87,11 @@ class FgbsDistribution:
         return self.a_matrix.shape[0] // 2
 
 
+def _check_zero_mean(state):
+    if float(np.max(np.abs(state.mean))) > MEAN_TOL:
+        raise ValueError("displaced states are not supported; mean must be zero")
+
+
 def build_distribution(state):
     """Derive (A, prefactor) from a zero-mean Gaussian state.
 
@@ -99,8 +104,7 @@ def build_distribution(state):
     only within UNCERTAINTY_TOL, so only such states are refused. The same lam
     give the purity det(2 Sigma) = prod 2 lam.
     """
-    if float(np.max(np.abs(state.mean))) > MEAN_TOL:
-        raise ValueError("displaced states are not supported; mean must be zero")
+    _check_zero_mean(state)
     n = state.n_modes
     eye = np.eye(2 * n)
     sigma_q = to_complex_covariance(state) + 0.5 * eye
@@ -181,8 +185,7 @@ def oracle_probability(state, pattern):
         raise CostGuardError("quadrature oracle is limited to 3 modes")
     if sum(pattern) > 8:
         raise CostGuardError("quadrature oracle is limited to total index 8")
-    if float(np.max(np.abs(state.mean))) > MEAN_TOL:
-        raise ValueError("displaced states are not supported; mean must be zero")
+    _check_zero_mean(state)
     if purity_defect(state) > PURITY_TOL:
         raise ValueError("quadrature oracle handles pure states only")
     v, u = _pure_wavefunction_params(state)
@@ -202,8 +205,7 @@ def oracle_probability(state, pattern):
 
 
 def _enumerate_probabilities(dist, cutoff):
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = _check_int(cutoff, "cutoff")
     _check_cost((cutoff + 1) ** (2 * dist.n_modes), f"enumerating patterns up to cutoff {cutoff}")
     patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
     box = hafnian_box(dist.a_matrix, [cutoff + 1] * (2 * dist.n_modes))
@@ -227,8 +229,7 @@ def sample(dist, shots, rng_seed, cutoff):
     of the distribution, else :class:`InsufficientMassError` reports the
     achieved mass. Identical seeds give identical sequences.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    shots = _check_int(shots, "shots")
     _check_cost(shots, f"{shots} shots")
     patterns, probs = _enumerate_probabilities(dist, cutoff)
     mass = float(probs.sum())

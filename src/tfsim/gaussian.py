@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import floats, table_text
-from .exceptions import _check_cost
+from .exceptions import _check_cost, _check_int, _check_real
 
 __all__ = [
     "GaussianTFState",
@@ -106,15 +106,9 @@ class GaussianTFState:
         return self.mean.size // 2
 
 
-def _check_mode_count(n_modes):
-    """The one mode-count rule: ValueError unless a non-bool Python or NumPy integer >= 1."""
-    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
-        raise ValueError("modes must be an integer >= 1")
-
-
 def vacuum_state(n_modes):
     """N unit-width Gaussian photons: mean 0, covariance I/2."""
-    _check_mode_count(n_modes)
+    n_modes = _check_int(n_modes, "modes", 1)
     return GaussianTFState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
@@ -148,13 +142,11 @@ def _frft_block(phi):
 def _scale_block(s):
     if not s > 0:
         raise ValueError("scale factor s must be positive")
-    return np.diag([float(s), 1.0 / float(s)]), None
+    return np.diag([s, 1.0 / s]), None
 
 
 def _displace_block(omega0, t0):
-    if not (np.isfinite(omega0) and np.isfinite(t0)):
-        raise ValueError("displacement values must be finite")
-    return np.eye(2), np.array([omega0, t0], dtype=float)
+    return np.eye(2), np.array([omega0, t0])
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,8 @@ def gate_block(name, params):
     """Table block and shift of gate ``name``: the one check of a gate's name and parameters.
 
     ValueError unless ``name`` is in the table and ``params`` names exactly its parameters,
-    passes the builder's domain check (``s > 0``, finite displacements) and gives a finite block.
+    each a finite real number that passes the builder's domain check (``s > 0``) and gives
+    a finite block.
     """
     if name not in GATES:
         raise ValueError(f"unknown gate {name!r}; expected one of {sorted(GATES)}")
@@ -194,8 +187,7 @@ def gate_block(name, params):
     if names != set(gate.params):
         missing, unknown = sorted(set(gate.params) - names), sorted(names - set(gate.params))
         raise ValueError(f"gate {name!r}: missing keys {missing}, unknown keys {unknown}")
-    with np.errstate(invalid="ignore"):  # cos(inf) is nan, refused below
-        block, shift = gate.build(**params)
+    block, shift = gate.build(**{key: _check_real(value, key) for key, value in params.items()})
     if not np.isfinite(block).all():
         raise ValueError(f"{name} block is not finite for parameters {params}")
     return block, shift
@@ -280,12 +272,14 @@ class PhaseSpaceGrid:
     origin: float = 0.0
 
     def __post_init__(self):
+        for key in ("omega_min", "omega_max", "t_min", "t_max", "origin"):
+            object.__setattr__(self, key, _check_real(getattr(self, key), key))
+        for key in ("omega_count", "t_count"):
+            object.__setattr__(self, key, _check_int(getattr(self, key), key, 2))
         ends = (self.omega_min - self.origin, self.omega_max - self.origin, self.t_min,
                 self.t_max, self.omega_max - self.omega_min, self.t_max - self.t_min)
         if not np.isfinite(ends).all():
             raise ValueError("grid bounds, origin and axis spans must be finite")
-        if self.omega_count < 2 or self.t_count < 2:
-            raise ValueError("axis counts must be >= 2")
         if not (self.omega_max > self.omega_min and self.t_max > self.t_min):
             raise ValueError("axis maxima must exceed minima")
 

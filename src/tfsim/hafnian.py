@@ -34,6 +34,8 @@ from math import factorial
 
 import numpy as np
 
+from .exceptions import _check_int
+
 __all__ = [
     "hafnian",
     "hafnian_box",
@@ -71,6 +73,17 @@ def _check_symmetric(B):
             raise ValueError("matrix must be symmetric")
 
 
+def _oracle_matrix(B, limit, what):
+    """The oracles' one preamble: B as a symmetric square matrix of even dimension <= limit."""
+    B = _as_square(B, "B")
+    if B.shape[0] % 2:
+        raise ValueError("hafnian is defined for even dimension only")
+    if B.shape[0] > limit:
+        raise ValueError(f"{what} limited to dimension {limit}")
+    _check_symmetric(B)
+    return B
+
+
 def hafnian_perm_sum(B):
     """Literal permutation-sum hafnian; independent oracle for dimension <= 8.
 
@@ -79,15 +92,10 @@ def hafnian_perm_sum(B):
     ValueError
         If B is not square/symmetric, has odd dimension, or is larger than 8x8.
     """
-    B = _as_square(B, "B")
+    B = _oracle_matrix(B, MAX_DIM_PERM_SUM, "permutation sum")
     n = B.shape[0]
     if n == 0:
         return 1.0
-    if n % 2:
-        raise ValueError("hafnian is defined for even dimension only")
-    if n > MAX_DIM_PERM_SUM:
-        raise ValueError(f"permutation sum limited to dimension {MAX_DIM_PERM_SUM}")
-    _check_symmetric(B)
     m = n // 2
     total = 0
     for sigma in permutations(range(n)):
@@ -110,15 +118,10 @@ def hafnian(B):
     ValueError
         If B is not square/symmetric, has odd dimension, or exceeds 32x32.
     """
-    B = _as_square(B, "B")
+    B = _oracle_matrix(B, MAX_DIM, "hafnian")
     n = B.shape[0]
     if n == 0:
         return 1.0
-    if n % 2:
-        raise ValueError("hafnian is defined for even dimension only")
-    if n > MAX_DIM:
-        raise ValueError(f"hafnian limited to dimension {MAX_DIM}")
-    _check_symmetric(B)
 
     memo = {}
 
@@ -145,12 +148,9 @@ def hafnian(B):
 
 def _check_pattern(pattern, n_modes):
     """A detection pattern as a tuple: one non-negative integer per mode."""
-    arr = np.asarray(pattern)
-    if arr.shape != (n_modes,):
+    if np.shape(pattern) != (n_modes,):
         raise ValueError(f"pattern must list one mode order per mode ({n_modes})")
-    if arr.dtype.kind not in "iu" or np.any(arr < 0):
-        raise ValueError("pattern entries must be non-negative integers")
-    return tuple(int(v) for v in arr)
+    return tuple(_check_int(v, "pattern entry") for v in pattern)
 
 
 def reduce(A, pattern):
@@ -172,9 +172,9 @@ def reduce(A, pattern):
 
 def _check_box(A, shape):
     A = np.asarray(A, dtype=complex)
-    shape = tuple(int(d) for d in shape)
-    if A.shape != (len(shape),) * 2 or min(shape, default=1) < 1:
-        raise ValueError("the box needs one axis of length >= 1 per row of A")
+    shape = tuple(_check_int(d, "box side", 1) for d in shape)
+    if A.shape != (len(shape),) * 2:
+        raise ValueError("the box needs one axis per row of A")
     return A, shape
 
 

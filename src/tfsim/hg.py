@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exceptions import _check_cost
+from .exceptions import _check_cost, _check_int, _check_real
 
 __all__ = [
     "AccuracyWarning",
@@ -122,9 +122,8 @@ def _log_magnitude(mantissa, exponent, x):
 
 def gauss_hermite(order):
     """The Gauss-Hermite :class:`QuadratureRule` of the given order; costs (order // 2)^2 units."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    order, half = int(order), int(order) // 2
+    order = _check_int(order, "order", 1)
+    half = order // 2
     _check_cost(half * half, f"Gauss-Hermite order {order}")
     alpha = 0.5 if order % 2 else -0.5
     k = np.arange(half)
@@ -145,8 +144,7 @@ def hermite_functions(nmax, x):
     Returns an array of shape ``(nmax + 1,) + shape(x)``. Row ``n`` is
     ``HG_n(x; sigma=1)``.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+    nmax = _check_int(nmax, "nmax")
     x = np.asarray(x, dtype=float)
     at_inf = np.isinf(x)
     x = np.where(at_inf, 0.0, x)  # psi_n(+-inf) = 0 for every n: set below; NaN stays NaN
@@ -186,10 +184,7 @@ def hg_value(n, sigma, omega):
     -------
     float or ndarray
     """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    if not 0.0 < sigma < np.inf:
-        raise ValueError("sigma must be positive")
+    n, sigma = _check_int(n, "n"), _check_real(sigma, "sigma", positive=True)
     x = np.asarray(omega, dtype=float) / sigma
     value = hermite_functions(n, x)[n] / np.sqrt(sigma)
     if np.isscalar(omega):
@@ -232,8 +227,7 @@ class _Amplitude:
         coeffs = np.atleast_1d(np.array(self.coeffs, dtype=complex))
         if coeffs.ndim != self.PHOTONS or coeffs.size == 0 or len(set(coeffs.shape)) != 1:
             raise ValueError("coeffs must be a non-empty array, one equal axis per photon")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive")
+        object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma", positive=True))
         norm = float(np.sum(np.abs(coeffs) ** 2))
         if not norm <= 1.0 + NORM_TOL:
             raise ValueError(f"coefficient norm {norm} is not at most 1")
@@ -294,10 +288,7 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
     AccuracyWarning
         If any coefficient moves by more than 1e-10 under order doubling.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if not 0.0 < sigma < np.inf:
-        raise ValueError("sigma must be positive")
+    cutoff, sigma = _check_int(cutoff, "cutoff"), _check_real(sigma, "sigma", positive=True)
     minimum = 2 * cutoff + MIN_ORDER_MARGIN
     if rule is None:
         rule = gauss_hermite(minimum)
@@ -318,6 +309,6 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
 
 def mode_probability(state, n):
     """Probability |c_n|^2 of finding the photon in basis mode ``n``."""
-    if n < 0 or n > state.cutoff:
+    if _check_int(n, "n") > state.cutoff:
         raise ValueError(f"mode index {n} outside truncation 0..{state.cutoff}")
     return float(np.abs(state.coeffs[n]) ** 2)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._text import floats, ints, table_text, texts
+from .exceptions import _check_int, _check_real
 from .twophoton import (
     JointSpectralAmplitude,
     _check_sector_cost,
@@ -61,8 +62,8 @@ ESTIMATORS = ("jz", "jz_squared", "fisher")
 
 def twin_state(n_total):
     """Both photons in HG mode N/2, one per arm: the input pair of hom_output(N/2)."""
-    if n_total < 2 or n_total % 2:
-        raise ValueError("total index must be an even integer >= 2")
+    if _check_int(n_total, "n_total", 2) % 2:
+        raise ValueError("n_total must be an even integer >= 2")
     return _pair(n_total // 2)
 
 
@@ -79,7 +80,7 @@ def _probe(n_total, state):
     norm = jsa.norm_squared
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {norm} is not 1")
-    if sector != n_total:
+    if sector != _check_int(n_total, "n_total"):
         raise ValueError("state total index does not match n_total")
     n, amplitudes = _sector(coeffs, n_total)
     chi = np.zeros(n_total + 1, dtype=complex)
@@ -90,7 +91,7 @@ def _probe(n_total, state):
 def interferometer(jsa, phi):
     """Run a pair through apply_fbs -> e^{i n phi} on arm a's index n -> apply_fbs."""
     mid = apply_fbs(jsa)
-    phases = np.exp(1j * phi * np.arange(mid.cutoff + 1))
+    phases = np.exp(1j * _check_real(phi, "phi") * np.arange(mid.cutoff + 1))
     return apply_fbs(JointSpectralAmplitude(phases[:, None] * mid.coeffs, jsa.sigma))
 
 
@@ -176,7 +177,7 @@ def phase_precision(n_total, phi, estimator, state=None):
     and defaults to the twin state |N/2, N/2>. Degenerate estimators
     (vanishing signal derivative) return inf with the ``degenerate`` flag set.
     """
-    if not 0.0 < phi < np.pi:
+    if not 0.0 < _check_real(phi, "phi") < np.pi:
         raise ValueError("phi must lie in the open interval (0, pi)")
     return _best(n_total, [phi], estimator, state)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import floats, ints, table_text
-from .exceptions import _check_cost
+from .exceptions import _check_cost, _check_int
 from .hg import SpectralState, _Amplitude, hermite_functions
 
 __all__ = [
@@ -64,6 +64,7 @@ def sector_matrix(k):
     of the tridiagonal J_x = V diag(m) V^T (m = -k/2..k/2 exactly; the product
     V diag(e^{i pi m/2}) V^T does not depend on the eigenvectors' signs).
     """
+    k = _check_int(k, "k")
     _check_sector_cost(k)
     n = np.arange(k + 1)
     off = np.sqrt((n[:-1] + 1.0) * (k - n[:-1])) / 2.0
@@ -112,8 +113,7 @@ def product_jsa(a, b):
 
 def _pair(n):
     """Two photons in unit-width basis mode n, one per arm: the sector-2n product pair."""
-    if n < 0:
-        raise ValueError("mode order must be >= 0")
+    n = _check_int(n, "n")
     _check_sector_cost(2 * n)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
@@ -163,7 +163,8 @@ def apply_fbs_grid(jsa, cutoff=None):
     apply_fbs's size; a smaller ``cutoff`` truncates and warns with
     TruncationWarning if the discarded squared norm exceeds TRUNCATION_TOL.
     """
-    target = max(jsa.cutoff, _populated_kmax(jsa.coeffs)) if cutoff is None else int(cutoff)
+    kmax = _populated_kmax(jsa.coeffs)
+    target = max(jsa.cutoff, kmax) if cutoff is None else _check_int(cutoff, "cutoff")
     x = np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_POINTS)
     dx = x[1] - x[0]
     grid_x, grid_y = x[:, None], x[None, :]
@@ -187,7 +188,7 @@ def apply_fbs_grid(jsa, cutoff=None):
 
 def coincidence_probability(jsa, n, m):
     """Probability |C[n, m]|^2 of detecting modes (n, m) in arms (a, b)."""
-    if not (0 <= n <= jsa.cutoff and 0 <= m <= jsa.cutoff):
+    if max(_check_int(n, "n"), _check_int(m, "m")) > jsa.cutoff:
         raise ValueError(f"indices ({n},{m}) outside truncation 0..{jsa.cutoff}")
     return float(np.abs(jsa.coeffs[n, m]) ** 2)
 

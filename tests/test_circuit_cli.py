@@ -745,7 +745,7 @@ def test_cli_fgbs_sample_negative_cutoff(tmp_path, capsys):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"]["type"] == "error"
-    assert "cutoff must be >= 0" in err["error"]["message"]
+    assert "cutoff must be an integer >= 0" in err["error"]["message"]
 
 
 def test_cli_wigner(tmp_path, capsys):

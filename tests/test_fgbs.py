@@ -181,6 +181,35 @@ def wide_pure_circuit(seed, modes=100, gates=150):
     return doc
 
 
+def test_passive_circuit_of_squeezed_inputs_matches_the_closed_form_at_100_modes():
+    # Input widths w_k squeeze mode k by r_k = ln w_k; fbs and frft are passive, alpha -> U alpha
+    # with alpha = (omega + i t)/sqrt2: fbs is the real Hadamard on its pair and frft(phi)
+    # multiplies alpha by e^{i phi}. So A = conj(U) diag(tanh r) conj(U)^T on the alpha block,
+    # 0 off it, and the prefactor is prod sech r.
+    rng = np.random.default_rng(11)
+    n = 100
+    widths = rng.uniform(0.7, 1.4, n)
+    u = np.eye(n, dtype=complex)
+    ops = []
+    for _ in range(400):
+        if rng.random() < 0.5:
+            pair = [int(m) for m in rng.choice(n, 2, replace=False)]
+            ops.append(ct.GateSpec("fbs", tuple(pair)))
+            u[pair] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0) @ u[pair]
+        else:
+            m, phi = int(rng.integers(n)), float(rng.uniform(0.0, 2.0 * np.pi))
+            ops.append(ct.GateSpec("frft", (m,), {"phi": phi}))
+            u[m] *= np.exp(1j * phi)
+    spec = ct.CircuitSpec(n, tuple(float(w) for w in widths), tuple(ops))
+    dist = fgbs.build_distribution(ct.run_circuit(spec))
+    r = np.log(widths)
+    expected = u.conj() @ np.diag(np.tanh(r)) @ u.conj().T
+    a = dist.a_matrix
+    assert np.max(np.abs(a[:n, :n] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(a[:n, n:])) <= 1e-12
+    assert dist.prefactor == pytest.approx(np.prod(1.0 / np.cosh(r)), rel=1e-12, abs=0.0)
+
+
 def test_weakly_coupled_wide_patterns_match_hafnian_oracle():
     # For a pure state the off-diagonal block of A is rounding noise (~1e-16),
     # but for weakly coupled modes it carries the whole P ~ 1e-32: a kernel
@@ -354,7 +383,7 @@ def test_enumeration_rejects_negative_cutoff():
         lambda: fgbs.total_probability(dist, cutoff=-1),
         lambda: fgbs.probability_table_csv(dist, cutoff=-2),
     ):
-        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 0"):
             call()
 
 

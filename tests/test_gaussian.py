@@ -193,9 +193,9 @@ def test_gate_symplectic_dispatch():
 @pytest.mark.parametrize(
     "gate, params, match",
     [
-        ("frft", {"phi": np.nan}, "not finite"),
-        ("frft", {"phi": np.inf}, "not finite"),
-        ("scale", {"s": np.inf}, "not finite"),
+        ("frft", {"phi": np.nan}, "^phi must be finite$"),
+        ("frft", {"phi": np.inf}, "^phi must be finite$"),
+        ("scale", {"s": np.inf}, "^s must be finite$"),
         ("scale", {"s": 1e-310}, "not finite"),  # 1/s overflows
         ("frft", {}, "missing keys \\['phi'\\]"),
     ],

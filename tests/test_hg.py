@@ -56,14 +56,14 @@ def test_hg_value_rejects_bad_arguments():
         hg.hg_value(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         hg.hg_value(0, -2.0, 0.0)
-    with pytest.raises(ValueError, match="nmax must be >= 0"):
+    with pytest.raises(ValueError, match="nmax must be an integer >= 0"):
         hg.hermite_functions(-1, 0.0)
 
 
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda f: hg.decompose(f, cutoff=-1), "cutoff must be >= 0"),
+        (lambda f: hg.decompose(f, cutoff=-1), "cutoff must be an integer >= 0"),
         (  # the contract asks for order 2 * 5 + MIN_ORDER_MARGIN = 26
             lambda f: hg.decompose(f, cutoff=5, rule=hg.gauss_hermite(10)),
             "rule order 10 below contract minimum 26",
