@@ -11,8 +11,7 @@ A circuit document looks like::
               {"gate": "frft", "targets": [0], "params": {"phi": 0.7}}]
     }
 
-The "schema" key may be omitted on input and defaults to "tfsim/1";
-:func:`circuit_to_json` always emits it. Parsing is strict: unknown keys,
+The "schema" key may be omitted and defaults to "tfsim/1". Parsing is strict: unknown keys,
 unknown gates, wrong arities, and non-finite numbers are rejected with a
 :class:`~tfsim.exceptions.SchemaError` that names the offending location.
 
@@ -43,7 +42,6 @@ __all__ = [
     "GateSpec",
     "CircuitSpec",
     "parse_circuit",
-    "circuit_to_json",
     "gate_ops",
     "run_circuit",
 ]
@@ -151,20 +149,6 @@ def parse_circuit(text):
         raise SchemaError("ops must be a list", location="$.ops")
     ops = tuple(_parse_op(entry, i, modes) for i, entry in enumerate(ops_doc))
     return CircuitSpec(modes=modes, inputs=widths, ops=ops)
-
-
-def circuit_to_json(spec):
-    """Canonical serialization; parse_circuit of the result is the identity."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "modes": spec.modes,
-        "inputs": [{"type": "gaussian", "width": w} for w in spec.inputs],
-        "ops": [
-            {"gate": op.gate, "targets": list(op.targets), "params": op.params}
-            for op in spec.ops
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def gate_ops(spec):

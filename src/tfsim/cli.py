@@ -24,9 +24,10 @@ written; :func:`_write`, the one output sink, then writes tables to stdout or
 ``--out`` a chunk of rows at a time, so peak memory is the computed values plus
 one chunk. Errors are reported as a JSON object on stderr and a distinct exit code:
 2 file-not-found, 3 schema violation, 4 cost guard, 5 insufficient sampling
-mass, 1 anything else (including a --circuit path that cannot be read, and a
-write that fails part-way, such as a closed pipe, which stops the output and
-leaves a partial ``--out`` file). The TFSIM_MAX_COST environment variable
+mass, 1 anything else (including a usage error such as an unknown or missing
+flag, a --circuit path that cannot be read, and a write that fails part-way,
+such as a closed pipe, which stops the output and leaves a partial ``--out``
+file); ``--help`` exits 0. The TFSIM_MAX_COST environment variable
 relaxes or tightens the cost guards.
 """
 
@@ -82,11 +83,10 @@ def _parse_photons(text):
         lo, hi = int(lo_text), int(hi_text)
         if lo > hi:
             raise ValueError(f"empty photon range {text!r}")
-        # Both ends are checked before the range is built, so its length is bounded.
+        # Only the top is charged here; precision_sweep checks the bottom, the range's first
+        # element, before it builds the rest, so no list grows past the guard or below 2.
         twophoton._check_sector_cost(hi)
-        if lo < 2:
-            raise ValueError(f"photon range {text!r} must start at 2 or above")
-        return list(range(lo, hi + 1, 2))
+        return range(lo, hi + 1, 2)
     return [int(text)]
 
 
@@ -154,8 +154,15 @@ def _cmd_wigner(args):
     return chunks(*_wigner_table(state, _parse_grid(args.grid), args.mode))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take main's one error path (exit 1)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tfsim",
         description="Time-frequency single-photon simulator: HOM interference, "
         "phase metrology, Gaussian boson sampling over spectral modes, and "
@@ -177,9 +184,8 @@ def _build_parser():
     )
     met.add_argument(
         "--estimator",
-        choices=sorted(metrology.ESTIMATORS),
         default="fisher",
-        help="precision estimator (default fisher)",
+        help=f"precision estimator: {', '.join(metrology.ESTIMATORS)} (default fisher)",
     )
     met.add_argument(
         "--phase",
@@ -242,8 +248,8 @@ def _write(texts, path):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         texts = args.handler(args)
     except FileNotFoundError as exc:
         return _emit_error("file-not-found", str(exc), EXIT_FILE_NOT_FOUND)

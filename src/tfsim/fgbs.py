@@ -229,7 +229,7 @@ def sample(dist, shots, rng_seed, cutoff):
     of the distribution, else :class:`InsufficientMassError` reports the
     achieved mass. Identical seeds give identical sequences.
     """
-    shots = _check_int(shots, "shots")
+    shots, rng_seed = _check_int(shots, "shots"), _check_int(rng_seed, "rng_seed")
     _check_cost(shots, f"{shots} shots")
     patterns, probs = _enumerate_probabilities(dist, cutoff)
     mass = float(probs.sum())

@@ -42,10 +42,8 @@ __all__ = [
     "gauss_hermite",
     "hg_value",
     "hermite_functions",
-    "hg_overlap",
     "decompose",
     "SpectralState",
-    "mode_probability",
 ]
 
 #: Doubling the quadrature order must move a reported overlap by less than this.
@@ -95,11 +93,6 @@ class QuadratureRule:
     def order(self):
         """Number of nodes."""
         return len(self.nodes)
-
-    @property
-    def weights(self):
-        """Plain weights w = W e^{-x^2} (they underflow to 0 at the outer nodes of large orders)."""
-        return self.scaled_weights * np.exp(-self.nodes**2)
 
 
 def _scaled_rows(n, x):
@@ -201,16 +194,6 @@ def _overlap_matrix(f, cutoff, sigma, rule):
     return np.sqrt(sigma) * ((hermite_functions(cutoff, x) * rule.scaled_weights) @ fx)
 
 
-def hg_overlap(f, n, sigma, rule=None):
-    """Overlap <HG_n(sigma)|f> = Int domega HG_n(omega; sigma)* f(omega), as a complex.
-
-    Coefficient ``n`` of ``decompose(f, n, sigma, rule)``, whose checks (the squared
-    norm of coefficients 0..n may not exceed 1) and AccuracyWarning (raised when any
-    of them moves under order doubling) it shares.
-    """
-    return complex(decompose(f, n, sigma, rule).coeffs[n])
-
-
 @dataclass(frozen=True)
 class _Amplitude:
     """The one amplitude contract, of PHOTONS photons over an HG basis of width ``sigma``
@@ -305,10 +288,3 @@ def decompose(f, cutoff=16, sigma=1.0, rule=None):
             stacklevel=2,
         )
     return SpectralState(coeffs=fine, sigma=sigma)
-
-
-def mode_probability(state, n):
-    """Probability |c_n|^2 of finding the photon in basis mode ``n``."""
-    if _check_int(n, "n") > state.cutoff:
-        raise ValueError(f"mode index {n} outside truncation 0..{state.cutoff}")
-    return float(np.abs(state.coeffs[n]) ** 2)

@@ -207,7 +207,8 @@ def best_precision(n_total, estimator, state=None):
 
 def precision_sweep(n_values, estimator, phi=None):
     """Rows (N, phi, estimator, delta_phi); phi=None optimizes per N."""
-    n_values = list(n_values)
+    # The count rule runs element by element, so a range starting below 2 fails at once.
+    n_values = [_check_int(n, "n_total", 2) for n in n_values]
     _check_sector_cost(max(n_values, default=0))
     rows = []
     for n_total in n_values:
@@ -235,13 +236,10 @@ def sweep_csv_text(rows):
     return table_text(*_sweep_table(rows))
 
 
-def heisenberg_slope(n_values=tuple(range(2, 21, 2)), estimator="fisher"):
-    """Fitted log-log slope of the optimized delta-phi against N."""
-    rows = precision_sweep(n_values, estimator)
-    n = np.array([r[0] for r in rows], dtype=float)
-    dphi = np.array([float(r[3]) for r in rows])
-    finite = np.isfinite(dphi)
-    if finite.sum() < 2:
-        raise ValueError("not enough finite precision values to fit a slope")
-    slope = np.polyfit(np.log(n[finite]), np.log(dphi[finite]), 1)[0]
-    return float(slope)
+def heisenberg_slope(n_values=tuple(range(2, 21, 2))):
+    """Fitted log-log slope of the optimized Fisher delta-phi against N."""
+    rows = precision_sweep(n_values, "fisher")
+    if len(rows) < 2:
+        raise ValueError("a slope needs at least two photon numbers")
+    n, dphi = np.array([(r[0], r[3]) for r in rows], dtype=float).T
+    return float(np.polyfit(np.log(n), np.log(dphi), 1)[0])

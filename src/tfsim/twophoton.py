@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import floats, ints, table_text
 from .exceptions import _check_cost, _check_int
 from .hg import SpectralState, _Amplitude, hermite_functions
 
@@ -37,7 +36,6 @@ __all__ = [
     "coincidence_probability",
     "mode_marginal",
     "hom_output",
-    "jsa_to_csv",
 ]
 
 TRUNCATION_TOL = 1e-6
@@ -207,10 +205,3 @@ def hom_output(n=1):
     """Two photons in unit-width basis mode n, one per arm, after the beam splitter."""
     return apply_fbs(_pair(n))
 
-
-def jsa_to_csv(jsa):
-    """Coefficients as CSV ``n,m,re,im`` rows, n-major."""
-    coeffs = jsa.coeffs
-    n, m = np.indices(coeffs.shape)
-    row = [ints(n), ",", ints(m), ",", floats(coeffs.real), ",", floats(coeffs.imag), "\n"]
-    return table_text("n,m,re,im\n", row, coeffs.size)

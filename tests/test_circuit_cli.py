@@ -229,19 +229,6 @@ def test_op_param_validation():
     assert "$.ops[0].params" in str(excinfo.value)
 
 
-def test_round_trip_identity():
-    spec = parse(MIXER_2)
-    text = ct.circuit_to_json(spec)
-    again = ct.parse_circuit(text)
-    assert again == spec
-    assert ct.circuit_to_json(again) == text
-    assert text.endswith("\n")
-    # Canonical form is sorted and versioned.
-    doc = json.loads(text)
-    assert doc["schema"] == "tfsim/1"
-    assert list(doc) == sorted(doc)
-
-
 def dense_run(n, steps):
     """Independent reference: each step as a dense 2N x 2N symplectic S (the
     identity with the table block on the targets' rows), Sigma -> S Sigma S^T
@@ -468,6 +455,38 @@ def test_cli_metrology_invalid_photons(capsys):
     assert err["message"] == "empty photon range '6..2'"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hom", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["metrology", "--photons", "4", "--estimator", "bogus"],
+         "estimator must be one of ('jz', 'jz_squared', 'fisher'), got 'bogus'"),
+        (["fgbs", "prob", "--pattern", "0"], "the following arguments are required: --circuit"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "unknown-estimator", "missing-circuit", "no-subcommand"],
+)
+def test_cli_usage_errors_are_json_errors_with_exit_1(argv, message, capsys):
+    # argparse's own refusals take main's one error path, not its plain text and exit 2.
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"type": "error", "message": message, "exit_code": 1}
+    }
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["metrology", "--help"]])
+def test_cli_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tfsim") and captured.err == ""
+    if argv[0] == "metrology":
+        assert "jz, jz_squared, fisher" in " ".join(captured.out.split())
+
+
 def test_cli_fgbs_prob_vacuum(tmp_path, capsys):
     path = write_circuit(tmp_path, {"modes": 2, "inputs": [
         {"type": "gaussian", "width": 1.0}, {"type": "gaussian", "width": 1.0}],
@@ -544,11 +563,12 @@ def test_cli_photon_range_is_guarded_before_it_is_built(capsys):
     assert err["error"]["type"] == "cost-guard"
     assert err["error"]["exit_code"] == 4
     assert "sector k=1000000000000" in err["error"]["message"]
-    # A range below 2 holds no valid photon number; it is refused before it is built.
+    # A range below 2 holds no valid photon number; its first element is refused by the
+    # count rule before the rest is built.
     assert cli.main(["metrology", "--photons=-1000000000000..2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must start at 2" in json.loads(captured.err)["error"]["message"]
+    assert json.loads(captured.err)["error"]["message"] == "n_total must be an integer >= 2"
 
 
 def test_cli_fgbs_sample_shots_refused_from_the_estimate(tmp_path, capsys, monkeypatch):

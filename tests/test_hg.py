@@ -130,7 +130,7 @@ def test_gauss_hermite_polynomial_exactness():
     for order in range(1, 65):
         rule = hg.gauss_hermite(order)
         for k in range(order):
-            moment = np.sum(rule.weights * rule.nodes ** (2 * k))
+            moment = np.sum(rule.scaled_weights * np.exp(-rule.nodes**2) * rule.nodes ** (2 * k))
             exact = math.sqrt(math.pi) * math.factorial(2 * k) / (
                 4.0**k * math.factorial(k)
             )
@@ -198,7 +198,7 @@ def test_orthonormality_up_to_20():
         for n in range(21):
             for m in range(21):
                 f = lambda w, m=m, s=sigma: hg.hg_value(m, s, w)
-                overlap = hg.hg_overlap(f, n, sigma, rule)
+                overlap = hg.decompose(f, n, sigma, rule).coeffs[n]
                 expected = 1.0 if n == m else 0.0
                 assert abs(overlap - expected) < 1e-10
 
@@ -210,7 +210,7 @@ def test_overlap_gaussian_of_twice_the_width():
     f = lambda w: (np.pi * (2 * sigma) ** 2) ** -0.25 * np.exp(
         -(w**2) / (2 * (2 * sigma) ** 2)
     )
-    overlap = hg.hg_overlap(f, 0, sigma, hg.gauss_hermite(64))
+    overlap = hg.decompose(f, 0, sigma, hg.gauss_hermite(64)).coeffs[0]
     assert isinstance(overlap, complex)
     assert overlap.real == pytest.approx(math.sqrt(4.0 / 5.0), abs=1e-10)
     assert overlap.imag == pytest.approx(0.0, abs=1e-12)
@@ -223,7 +223,7 @@ def test_overlap_gaussian_of_twice_the_width():
 def test_overlap_complex_function():
     # A chirped Gaussian exercises the complex return path.
     f = lambda w: np.pi ** -0.25 * np.exp(-(1 + 0.5j) * w**2 / 2)
-    overlap = hg.hg_overlap(f, 0, 1.0, hg.gauss_hermite(64))
+    overlap = hg.decompose(f, 0, 1.0, hg.gauss_hermite(64)).coeffs[0]
     grid = np.linspace(-10.0, 10.0, 20001)
     trapezoid = np.trapezoid(hg.hg_value(0, 1.0, grid) * f(grid), grid)
     assert overlap == pytest.approx(trapezoid, abs=1e-10)
@@ -234,7 +234,7 @@ def test_overlap_warns_when_rule_is_too_coarse():
     # the order moves the value, which must raise AccuracyWarning.
     f = lambda w: (np.pi * 0.12**2) ** -0.25 * np.exp(-(w**2) / (2 * 0.12**2))
     with pytest.warns(hg.AccuracyWarning):
-        hg.hg_overlap(f, 0, 1.0, hg.gauss_hermite(16))
+        hg.decompose(f, 0, 1.0, hg.gauss_hermite(16))
 
 
 def test_overlap_warns_when_a_lower_coefficient_moves():
@@ -242,7 +242,7 @@ def test_overlap_warns_when_a_lower_coefficient_moves():
     # <0|f> moves when the order-18 rule is doubled, and the overlap checks 0..n.
     f = lambda w: (np.pi * 0.12**2) ** -0.25 * np.exp(-(w**2) / (2 * 0.12**2))
     with pytest.warns(hg.AccuracyWarning, match=r"<0\.\.1\|f>"):
-        overlap = hg.hg_overlap(f, 1, 1.0, hg.gauss_hermite(18))
+        overlap = hg.decompose(f, 1, 1.0, hg.gauss_hermite(18)).coeffs[1]
     assert abs(overlap) < 1e-12
 
 
@@ -250,7 +250,7 @@ def test_overlap_does_not_warn_on_smooth_function():
     f = lambda w: (np.pi * 1.3**2) ** -0.25 * np.exp(-(w**2) / (2 * 1.3**2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", hg.AccuracyWarning)
-        hg.hg_overlap(f, 0, 1.0, hg.gauss_hermite(48))
+        hg.decompose(f, 0, 1.0, hg.gauss_hermite(48))
 
 
 def test_decompose_recovers_basis_states():
@@ -296,20 +296,6 @@ def test_decompose_gaussian_of_twice_the_width():
 def test_decompose_respects_cutoff_argument():
     state = hg.decompose(lambda w: hg.hg_value(0, 1.0, w), cutoff=4)
     assert state.coeffs.shape == (5,)
-
-
-def test_mode_probability():
-    coeffs = np.zeros(5, dtype=complex)
-    coeffs[0] = math.sqrt(0.25)
-    coeffs[2] = math.sqrt(0.75)
-    state = hg.SpectralState(coeffs=coeffs, sigma=1.0)
-    assert hg.mode_probability(state, 0) == pytest.approx(0.25, rel=1e-14)
-    assert hg.mode_probability(state, 2) == pytest.approx(0.75, rel=1e-14)
-    assert hg.mode_probability(state, 1) == 0.0
-    with pytest.raises(ValueError):
-        hg.mode_probability(state, 5)
-    with pytest.raises(ValueError):
-        hg.mode_probability(state, -1)
 
 
 def test_spectral_state_validation():

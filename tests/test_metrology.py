@@ -410,6 +410,6 @@ def test_heisenberg_slope_value():
     assert slope == pytest.approx(exact, abs=1e-12)
 
 
-def test_heisenberg_slope_rejects_all_degenerate():
-    with pytest.raises(ValueError):
-        mt.heisenberg_slope(n_values=(2, 4), estimator="jz")
+def test_heisenberg_slope_needs_two_photon_numbers():
+    with pytest.raises(ValueError, match="at least two photon numbers"):
+        mt.heisenberg_slope(n_values=(4,))

@@ -21,7 +21,6 @@ from tfsim.exceptions import _check_int, _check_real
 
 DIST = fgbs.build_distribution(g.vacuum_state(1))
 JSA = tp.hom_output(1)
-PHOTON = hg.SpectralState([1.0], 1.0)
 A2 = np.zeros((2, 2))
 
 
@@ -48,7 +47,6 @@ COUNTS = {
     "hermite_functions": (lambda v: hg.hermite_functions(v, 0.0), "nmax"),
     "hg_value": (lambda v: hg.hg_value(v, 1.0, 0.0), "n"),
     "decompose": (lambda v: hg.decompose(gauss, cutoff=v), "cutoff"),
-    "mode_probability": (lambda v: hg.mode_probability(PHOTON, v), "n"),
     "hom_output": (tp.hom_output, "n"),
     "sector_matrix": (tp.sector_matrix, "k"),
     "apply_fbs_grid": (lambda v: tp.apply_fbs_grid(JSA, cutoff=v), "cutoff"),
@@ -56,9 +54,11 @@ COUNTS = {
     "coincidence-m": (lambda v: tp.coincidence_probability(JSA, 0, v), "m"),
     "twin_state": (mt.twin_state, "n_total"),
     "quantum_fisher_information": (lambda v: mt.quantum_fisher_information(v, JSA), "n_total"),
+    "precision_sweep": (lambda v: mt.precision_sweep([v], "fisher"), "n_total"),
     "total_probability": (lambda v: fgbs.total_probability(DIST, v), "cutoff"),
     "sample-cutoff": (lambda v: fgbs.sample(DIST, 1, 0, v), "cutoff"),
     "sample-shots": (lambda v: fgbs.sample(DIST, v, 0, 2), "shots"),
+    "sample-rng_seed": (lambda v: fgbs.sample(DIST, 1, v, 2), "rng_seed"),
     "probability": (lambda v: fgbs.probability(DIST, (v,)), "pattern entry"),
     "reduce": (lambda v: hafnian.reduce(A2, (v,)), "pattern entry"),
     "hafnian_box": (lambda v: hafnian.hafnian_box(A2, (v, 2)), "box side"),

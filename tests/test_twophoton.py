@@ -282,16 +282,3 @@ def test_jsa_validation():
     one_nan[0, 1] = np.nan
     with pytest.raises(ValueError, match="norm nan"):
         tp.JointSpectralAmplitude(coeffs=one_nan)
-
-
-def test_jsa_to_csv_round_trip():
-    rng = np.random.default_rng(9)
-    jsa = random_jsa(rng, 2)
-    lines = tp.jsa_to_csv(jsa).splitlines()
-    assert lines[0] == "n,m,re,im"
-    assert len(lines) == 1 + 9
-    recovered = np.zeros((3, 3), dtype=complex)
-    for line in lines[1:]:
-        n_s, m_s, re_s, im_s = line.split(",")
-        recovered[int(n_s), int(m_s)] = float(re_s) + 1j * float(im_s)
-    assert np.max(np.abs(recovered - jsa.coeffs)) < 1e-16

@@ -61,15 +61,6 @@ def ref_sweep_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def ref_jsa_csv(jsa):
-    lines = ["n,m,re,im"]
-    for n in range(jsa.cutoff + 1):
-        for m in range(jsa.cutoff + 1):
-            c = jsa.coeffs[n, m]
-            lines.append(f"{n},{m},{c.real:.17g},{c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def ref_probability_csv(dist, cutoff):
     lines = ["pattern,probability"]
     for pat in np.ndindex(*(cutoff + 1,) * dist.n_modes):
@@ -120,33 +111,6 @@ def test_sweep_csv_bytes_with_inf_row():
     text = mt.sweep_csv_text(rows)
     assert ",jz,inf\n" in text
     assert text == ref_sweep_csv(rows)
-
-
-def test_jsa_csv_bytes_signed_zero_and_negative_imaginary():
-    coeffs = np.array(
-        [
-            [complex(0.6, -0.0), complex(-0.0, -0.3)],
-            [complex(0.2, 0.0), complex(-0.1, -1e-300)],
-        ]
-    )
-    small = tp.JointSpectralAmplitude(coeffs=coeffs)
-    rng = np.random.default_rng(4)
-    c = rng.standard_normal((71, 71)) + 1j * rng.standard_normal((71, 71))
-    c /= np.sqrt(np.sum(np.abs(c) ** 2))
-    c[::3, ::2] = c[::3, ::2].real - 0.0j  # signed-zero imaginary parts
-    c[1::3, ::5] = complex(-0.0, -0.0)
-    large = tp.JointSpectralAmplitude(coeffs=c)
-    texts = {}
-    for name, jsa in (("small", small), ("large", large)):
-        texts[name] = tp.jsa_to_csv(jsa)
-        assert texts[name] == ref_jsa_csv(jsa)
-    assert texts["small"] == (
-        "n,m,re,im\n"
-        "0,0,0.59999999999999998,-0\n"
-        "0,1,-0,-0.29999999999999999\n"
-        "1,0,0.20000000000000001,0\n"
-        "1,1,-0.10000000000000001,-1e-300\n"
-    )
 
 
 def test_probability_table_csv_bytes():
