@@ -83,9 +83,6 @@ def _parse_photons(text):
         lo, hi = int(lo_text), int(hi_text)
         if lo > hi:
             raise ValueError(f"empty photon range {text!r}")
-        # Only the top is charged here; precision_sweep checks the bottom, the range's first
-        # element, before it builds the rest, so no list grows past the guard or below 2.
-        twophoton._check_sector_cost(hi)
         return range(lo, hi + 1, 2)
     return [int(text)]
 

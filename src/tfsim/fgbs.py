@@ -8,13 +8,15 @@ pattern n = (n_1, ..., n_N) of HG mode orders the probability
 where Sigma_Q = Sigma_c + I/2 in the (alpha, alpha*) basis, A is the
 block-swapped matrix X (I - Sigma_Q^{-1}) with X = [[0, I], [I, 0]], and
 ``reduce`` repeats rows/columns i and N+i of A n_i times. The hafnians come
-from the Gaussian recurrence of :mod:`tfsim.hafnian` on the full A, for pure
-and mixed sources alike: one pattern takes the corner of the box of its
-nonzero modes from :func:`~tfsim.hafnian.hafnian_corner`, which fills only
-the part of that box of prod (n_i + 1)^2 entries the corner depends on
-(about a quarter at large equal n_i); a table up to a cutoff c fills the
-(c + 1)^(2N) box once with :func:`~tfsim.hafnian.hafnian_box` and reads its
-diagonal. The two give the same bytes for the same pattern.
+from one kernel, the Gaussian recurrence :func:`~tfsim.hafnian.hafnian_box`.
+A pure source has A = B (+) conj(B) (Hamilton et al., PRL 119, 170501
+(2017)), so haf(reduce(A, n)) = |haf(B_n)|^2 and the box has N axes, one per
+mode: prod (n_i + 1) entries for one pattern, (c + 1)^N for a table up to a
+cutoff c. Odd totals come out as exact zeros. A mixed source fills the 2N-axis
+box of A, prod (n_i + 1)^2 or (c + 1)^(2N) entries, and reads its (n, n)
+diagonal. One pattern fills the box of its nonzero modes only and reads the
+last entry; a table reads the whole box. The two give the same bytes for the
+same pattern.
 
 Everything is cross-checked against :func:`oracle_probability`, which knows
 nothing of hafnians: it reconstructs the pure-state frequency wavefunction
@@ -24,7 +26,7 @@ tensor-product Gauss-Hermite quadrature.
 Cost guards protect the hafnian evaluation, the sampler's pattern
 enumeration and its draws; the limit defaults to
 :data:`tfsim.exceptions.DEFAULT_MAX_COST` cost units (one unit = one entry of
-the recurrence box, filled or not, or one shot) and is set through the
+the recurrence box or one shot) and is set through the
 TFSIM_MAX_COST environment variable (a non-negative decimal integer).
 """
 
@@ -39,7 +41,7 @@ import numpy as np
 from ._text import floats, ints, table_text, texts
 from .exceptions import CostGuardError, InsufficientMassError, _check_cost, _check_int
 from .gaussian import _inverse_and_det, purity_defect, to_complex_covariance
-from .hafnian import _check_pattern, hafnian_box, hafnian_corner
+from .hafnian import _check_pattern, hafnian_box
 from .hg import gauss_hermite, hermite_functions
 
 __all__ = [
@@ -58,6 +60,9 @@ MASS_REQUIREMENT = 0.999
 IMAG_TOL = 1e-10
 MEAN_TOL = 1e-12
 PURITY_TOL = 1e-8
+#: A source with |det(2 Sigma) - 1| below this is pure, and its A is stored as
+#: B (+) conj(B): the off-diagonal block, rounding noise for a pure state, is dropped.
+PURE_SOURCE_TOL = 1e-10
 #: Order of the tensor-product Gauss-Hermite rule behind oracle_probability.
 ORACLE_RULE_ORDER = 48
 
@@ -69,8 +74,8 @@ class FgbsDistribution:
     ``a_matrix`` is the complex symmetric kernel entering the hafnian,
     ``prefactor`` the normalization |det Sigma_Q|^{-1/2} with Sigma_Q the
     Husimi covariance Sigma_c + I/2, and ``is_pure`` records whether the
-    source state was pure (pure sources place zero mass on odd total index).
-    ``a_matrix`` is stored as a read-only copy.
+    source state was pure; then ``a_matrix`` is B (+) conj(B) exactly, with B
+    its top-left N x N block. ``a_matrix`` is stored as a read-only copy.
     """
 
     a_matrix: np.ndarray
@@ -102,7 +107,10 @@ def build_distribution(state):
     ||A||_2 = max |lam - 1/2| / (lam + 1/2) over lam in eig(Sigma), a bound on
     A's spectral radius that is < 1 iff Sigma > 0. Validation admits Sigma <= 0
     only within UNCERTAINTY_TOL, so only such states are refused. The same lam
-    give the purity det(2 Sigma) = prod 2 lam.
+    give the purity det(2 Sigma) = prod 2 lam. A source within PURE_SOURCE_TOL
+    of purity is taken as pure: A is stored as B (+) conj(B), with exact zeros
+    off the diagonal blocks, which moves a table of a state that impure by at
+    most about that much in total.
     """
     _check_zero_mean(state)
     n = state.n_modes
@@ -118,12 +126,25 @@ def build_distribution(state):
     norm = float(np.max(np.abs(lam - 0.5) / (lam + 0.5)))
     if not norm < 1.0:
         raise ValueError(f"norm of A is {norm:.6f} >= 1; distribution not normalizable")
-    prefactor = 1.0 / math.sqrt(abs(det))
-    return FgbsDistribution(
-        a_matrix=a,
-        prefactor=prefactor,
-        is_pure=abs(math.expm1(float(np.sum(np.log(2.0 * lam))))) < 1e-10,  # every lam > 0
-    )
+    is_pure = abs(math.expm1(float(np.sum(np.log(2.0 * lam))))) < PURE_SOURCE_TOL  # lam > 0
+    if is_pure:
+        a[:n, n:] = a[n:, :n] = 0.0
+        a[n:, n:] = a[:n, :n].conj()
+    return FgbsDistribution(a_matrix=a, prefactor=1.0 / math.sqrt(abs(det)), is_pure=is_pure)
+
+
+def _hafnians(dist, modes, sides, what):
+    """haf(reduce(A, m)) / m! for every pattern m < ``sides`` on ``modes``, the other modes
+    empty, as an array of shape ``sides``: |R|^2 of the box of B's rows ``modes`` for a
+    pure source, else the (m, m) diagonal of the box of A's rows ``modes`` and N + ``modes``.
+    Charges ``what`` one cost unit per box entry before it fills the box."""
+    if dist.is_pure:
+        _check_cost(math.prod(sides), what)
+        return np.abs(hafnian_box(dist.a_matrix[np.ix_(modes, modes)], sides)) ** 2
+    _check_cost(math.prod(sides) ** 2, what)
+    idx = [*modes, *(dist.n_modes + i for i in modes)]
+    box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [*sides, *sides])
+    return box.reshape(math.prod(sides), -1).diagonal().reshape(sides)
 
 
 def _probabilities(dist, hafnians):
@@ -139,19 +160,12 @@ def _probabilities(dist, hafnians):
 
 
 def probability(dist, pattern):
-    """Exact probability of one detection pattern.
-
-    Pure sources short-circuit odd total index to exactly 0; mixed Gaussian
-    sources can populate odd totals and take the full hafnian path.
-    """
+    """Exact probability of one detection pattern: the last entry of the box of its
+    nonzero modes."""
     pattern = _check_pattern(pattern, dist.n_modes)
-    _check_cost(math.prod((v + 1) ** 2 for v in pattern), f"pattern {pattern}")
-    if dist.is_pure and sum(pattern) % 2:
-        return 0.0
     active = [i for i, v in enumerate(pattern) if v]
-    idx = active + [dist.n_modes + i for i in active]
-    corner = hafnian_corner(dist.a_matrix[np.ix_(idx, idx)], [pattern[i] + 1 for i in active] * 2)
-    return float(_probabilities(dist, corner))
+    hafnians = _hafnians(dist, active, [pattern[i] + 1 for i in active], f"pattern {pattern}")
+    return float(_probabilities(dist, hafnians.flat[-1]))
 
 
 def _pure_wavefunction_params(state):
@@ -206,13 +220,11 @@ def oracle_probability(state, pattern):
 
 def _enumerate_probabilities(dist, cutoff):
     cutoff = _check_int(cutoff, "cutoff")
-    _check_cost((cutoff + 1) ** (2 * dist.n_modes), f"enumerating patterns up to cutoff {cutoff}")
-    patterns = list(itertools.product(range(cutoff + 1), repeat=dist.n_modes))
-    box = hafnian_box(dist.a_matrix, [cutoff + 1] * (2 * dist.n_modes))
-    hafnians = box.reshape(len(patterns), -1).diagonal()
-    if dist.is_pure:  # pure sources place no mass on odd totals
-        hafnians = np.where([sum(p) % 2 == 1 for p in patterns], 0.0, hafnians)
-    return patterns, np.clip(_probabilities(dist, hafnians), 0.0, None)
+    n = dist.n_modes
+    hafnians = _hafnians(dist, range(n), [cutoff + 1] * n,
+                         f"enumerating patterns up to cutoff {cutoff}")
+    patterns = list(itertools.product(range(cutoff + 1), repeat=n))
+    return patterns, np.clip(_probabilities(dist, hafnians.ravel()), 0.0, None)
 
 
 def total_probability(dist, cutoff):

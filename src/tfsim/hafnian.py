@@ -22,9 +22,8 @@ Quantum 4, 366 (2020), arXiv:2004.11002, in one pass over the box:
 
 It sums the matching sum's own products, so its rounding error stays of the
 order of haf(|A_m|); it is tested against ``hafnian(reduce(A, pattern))``.
-:func:`hafnian_corner`, the kernel behind one pattern's probability, returns
-the box's last entry, byte for byte, from the same per-slice step run only on
-the entries it depends on: about a quarter of the box at large equal sides.
+A box of any shape holds the values of every larger box at the same indices,
+so one pattern and a whole table read the same bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .exceptions import _check_int
 __all__ = [
     "hafnian",
     "hafnian_box",
-    "hafnian_corner",
     "hafnian_perm_sum",
     "reduce",
 ]
@@ -170,28 +168,17 @@ def reduce(A, pattern):
     return A[np.ix_(idx, idx)]
 
 
-def _check_box(A, shape):
-    A = np.asarray(A, dtype=complex)
-    shape = tuple(_check_int(d, "box side", 1) for d in shape)
-    if A.shape != (len(shape),) * 2:
-        raise ValueError("the box needs one axis per row of A")
-    return A, shape
-
-
-def _shifts(roots, lo):
-    """Per axis j >= 1: sqrt(m_j) and the indices (into new, into cur) pairing
-    new[m] with cur[m - e_j], where new's window starts at lo[j] on axis j and
-    that of cur, the slice before it, at max(0, lo[j] - 1); both end at the
-    last index. Where lo[j] > 0, cur starts one index before new, else both
-    start at 0 and new[m_j = 0] has no source.
+def _shifts(roots):
+    """Per axis j >= 1: sqrt(m_j) along axis j and the indices (into new, into
+    cur) pairing new[m] with cur[m - e_j]; new[m_j = 0] has no source.
 
     ``roots[j]`` is sqrt(1, 2, ...) along axis j.
     """
-    align = tuple(slice(1 if s else 0, None) for s in lo)
-    return [(roots[j][(slice(lo[j] - a.start, None),) + (None,) * (len(lo) - 1 - j)],
-             (slice(None),) * j + (slice(1 - a.start, None),),
-             align[:j] + (slice(None, -1),) + align[j + 1:])
-            for j, a in enumerate(align) if j]
+    d = len(roots)
+    return [(roots[j][(slice(None),) + (None,) * (d - 1 - j)],
+             (slice(None),) * j + (slice(1, None),),
+             (slice(None),) * j + (slice(None, -1),))
+            for j in range(1, d)]
 
 
 def _step(new, prev, cur, row, r, t, shifts):
@@ -201,14 +188,11 @@ def _step(new, prev, cur, row, r, t, shifts):
 
     with row = A[k, k:], r = sqrt(1, 2, ...) along axis k and ``shifts`` the
     entries j > k of :func:`_shifts`, in increasing j. Slices keep every axis,
-    axis k and those before it of length 1. ``new`` is contiguous and zero at
-    t = 0, and ``prev`` covers its window; a strided ``prev`` is copied first,
-    so every product by a complex coefficient runs over a contiguous array
-    (NumPy may round strided and 0-d ones differently) and a window holds the
-    same values as the whole slice.
+    axis k and those before it of length 1, so each is contiguous; ``new`` is
+    zero at t = 0.
     """
     if t:
-        np.multiply(np.ascontiguousarray(prev), row[0] * (r[t - 1] / r[t]), out=new)
+        np.multiply(prev, row[0] * (r[t - 1] / r[t]), out=new)
     for a, (w, dst, src) in zip(row[1:], shifts):
         new[dst] += (a / r[t]) * (w * cur[src])
 
@@ -221,41 +205,17 @@ def hafnian_box(A, shape):
     axis k's slice t + 1 comes from its slices t and t - 1 by :func:`_step`,
     so a sub-box holds the same values.
     """
-    A, shape = _check_box(A, shape)
+    A = np.asarray(A, dtype=complex)
+    shape = tuple(_check_int(d, "box side", 1) for d in shape)
+    if A.shape != (len(shape),) * 2:
+        raise ValueError("the box needs one axis per row of A")
     box = np.zeros(shape, dtype=complex)
     box[(0,) * len(shape)] = 1.0
     roots = [np.sqrt(np.arange(1.0, d)) for d in shape]
-    shifts = _shifts(roots, (0,) * len(shape))
+    shifts = _shifts(roots)
     for k in reversed(range(len(shape))):
         pre = (slice(0, 1),) * k
         for t in range(shape[k] - 1):
             _step(box[pre + (slice(t + 1, t + 2),)], box[pre + (slice(t - 1, t),)],
                   box[pre + (slice(t, t + 1),)], A[k, k:], roots[k], t, shifts[k:])
     return box
-
-
-def hafnian_corner(A, shape):
-    """R[c], c = shape - 1: the corner of ``hafnian_box(A, shape)``, byte for byte.
-
-    Axis 0 fills last, and its entry (t, m) reads (t - 1, m - e_j) and
-    (t - 2, m): one slice down, every other index drops by at most one. So the
-    corner reads slice t only on the window m_i >= c_i - (c_0 - t) of the
-    other axes. Slice 0 is ``hafnian_box(A[1:, 1:], shape[1:])``; slices
-    1..c_0 are filled on their windows by the same :func:`_step`. At large
-    equal c_i that is about a quarter of the box, and three slices are held.
-    """
-    A, shape = _check_box(A, shape)
-    if not shape:
-        return np.complex128(1.0)
-    c = [d - 1 for d in shape]
-    lo = [[0] + [max(0, ci - c[0] + t) for ci in c[1:]] for t in range(shape[0])]
-    roots = [np.sqrt(np.arange(1.0, d)) for d in shape]
-    prev = None
-    cur = hafnian_box(A[1:, 1:], shape[1:])[None][tuple(slice(s, None) for s in lo[0])]
-    for t in range(c[0]):
-        new = np.zeros([1] + [ci + 1 - s for ci, s in zip(c[1:], lo[t + 1][1:])], dtype=complex)
-        if t:
-            prev = prev[tuple(slice(a - b, None) for a, b in zip(lo[t + 1], lo[t - 1]))]
-        _step(new, prev, cur, A[0], roots[0], t, _shifts(roots, lo[t + 1]))
-        prev, cur = cur, new
-    return cur[(0,) * len(shape)]

@@ -207,9 +207,9 @@ def best_precision(n_total, estimator, state=None):
 
 def precision_sweep(n_values, estimator, phi=None):
     """Rows (N, phi, estimator, delta_phi); phi=None optimizes per N."""
-    # The count rule runs element by element, so a range starting below 2 fails at once.
-    n_values = [_check_int(n, "n_total", 2) for n in n_values]
-    _check_sector_cost(max(n_values, default=0))
+    # Each N passes the count rule and the sector charge as it is read, so no list grows
+    # past the guard or below 2, even from an unbounded iterable.
+    n_values = [_check_sector_cost(_check_int(n, "n_total", 2)) for n in n_values]
     rows = []
     for n_total in n_values:
         if phi is None:

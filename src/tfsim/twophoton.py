@@ -49,8 +49,9 @@ class TruncationWarning(UserWarning):
 
 
 def _check_sector_cost(k):
-    """Refuse a total-index-k sector whose (k+1)^2 cost units exceed the guard."""
+    """Refuse a total-index-k sector whose (k+1)^2 cost units exceed the guard; return k."""
     _check_cost((k + 1) ** 2, f"sector k={k}")
+    return k
 
 
 def sector_matrix(k):

@@ -511,7 +511,8 @@ def test_cli_fgbs_prob_matches_library(tmp_path, capsys):
 
 def test_cli_fgbs_prob_refuses_a_negative_probability(tmp_path, capsys, monkeypatch):
     path = write_circuit(tmp_path, MIXER_2)
-    monkeypatch.setattr(fgbs, "hafnian_corner", lambda a, sides: np.complex128(-1e-6))
+    # Every circuit source is pure, whose hafnians are squares: the helper is patched.
+    monkeypatch.setattr(fgbs, "_hafnians", lambda dist, modes, sides, what: np.full(sides, -1e-6))
     assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "2,0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -555,14 +556,15 @@ def test_cli_sector_cost_guard_exit_code(capsys):
 
 
 def test_cli_photon_range_is_guarded_before_it_is_built(capsys):
-    # The top of the range is charged first: a list of 5e11 photon numbers is never built.
+    # Each photon number is charged as it is read: the first one over the guard is refused,
+    # and a list of 5e11 photon numbers is never built.
     assert cli.main(["metrology", "--photons", "2..1000000000000"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"]["type"] == "cost-guard"
     assert err["error"]["exit_code"] == 4
-    assert "sector k=1000000000000" in err["error"]["message"]
+    assert "sector k=1000 costs" in err["error"]["message"]
     # A range below 2 holds no valid photon number; its first element is refused by the
     # count rule before the rest is built.
     assert cli.main(["metrology", "--photons=-1000000000000..2"]) == 1
@@ -681,8 +683,9 @@ def test_cli_malformed_cost_limit_is_a_json_error(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_fgbs_sample_three_modes_at_default_cutoff(tmp_path, capsys, monkeypatch):
-    # The (8 + 1)^6 = 531 441-entry box fits the default limit; four modes,
-    # (8 + 1)^8 entries, are refused from the estimate before any box is built.
+    # A pure source's table fills the (8 + 1)^N box of B: three modes, and six, whose
+    # 531 441 entries fit the default limit, run; seven modes, (8 + 1)^7 entries, are
+    # refused from the estimate before any box is built.
     doc = {
         "modes": 3,
         "inputs": [{"type": "gaussian", "width": w} for w in (1.2, 0.9, 1.1)],
@@ -700,18 +703,27 @@ def test_cli_fgbs_sample_three_modes_at_default_cutoff(tmp_path, capsys, monkeyp
     assert len(lines) == 20
     assert all(len(json.loads(line)["pattern"]) == 3 for line in lines)
 
+    def widened(modes):
+        vacua = [{"type": "gaussian", "width": 1.0}] * (modes - 3)
+        path = write_circuit(tmp_path, dict(doc, modes=modes, inputs=doc["inputs"] + vacua),
+                             name=f"{modes}.json")
+        return cli.main(["fgbs", "sample", "--circuit", path, "--shots", "20"])
+
+    assert widened(6) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20
+    assert all(len(json.loads(line)["pattern"]) == 6 for line in lines)
+
     def refuse(*args):
         raise AssertionError("the estimate alone must refuse this size")
 
     monkeypatch.setattr(fgbs, "hafnian_box", refuse)
-    doc4 = dict(doc, modes=4, inputs=doc["inputs"] + [{"type": "gaussian", "width": 1.0}])
-    path4 = write_circuit(tmp_path, doc4, name="four.json")
-    assert cli.main(["fgbs", "sample", "--circuit", path4, "--shots", "20"]) == 4
+    assert widened(7) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"]["type"] == "cost-guard"
-    assert str(9**8) in err["error"]["message"]
+    assert str(9**7) in err["error"]["message"]
 
 
 def test_cli_bad_pattern_exit_code(tmp_path, capsys):

@@ -103,8 +103,8 @@ def test_two_mode_squeezing_ladder_to_thirty_photons(s):
 
 
 def test_single_pattern_does_not_fill_its_whole_box():
-    # P(30, 30) needs the corner of a (31, 31, 31, 31) box, 14.8 MB of complex
-    # entries; only the corner's cone, three slices of it at a time, is held.
+    # P(30, 30) of a pure source fills the (31, 31) box of B, 15 kB of complex
+    # entries, not the (31, 31, 31, 31) box of A, 14.8 MB.
     dist = tmsv_distribution(3.0)
     tracemalloc.start()
     try:
@@ -112,7 +112,9 @@ def test_single_pattern_does_not_fill_its_whole_box():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value == 5.516983947116921e-07
+    assert value == 5.516983947116897e-07
+    assert value == pytest.approx(math.tanh(math.log(3.0)) ** 60 / math.cosh(math.log(3.0)) ** 2,
+                                  rel=1e-13, abs=0.0)
     assert peak < 5e6
 
 
@@ -211,21 +213,18 @@ def test_passive_circuit_of_squeezed_inputs_matches_the_closed_form_at_100_modes
 
 
 def test_weakly_coupled_wide_patterns_match_hafnian_oracle():
-    # For a pure state the off-diagonal block of A is rounding noise (~1e-16),
-    # but for weakly coupled modes it carries the whole P ~ 1e-32: a kernel
-    # that reads only the top-left block gets 0 there.
+    # For a pure state the off-diagonal block of A is rounding noise (~1e-16), and
+    # build_distribution stores it as exact zeros; squared, that noise was all of the
+    # P ~ 1e-32 a full-A kernel gave the weakly coupled patterns that are exactly 0.
     doc = wide_pure_circuit(seed=4)
     dist = fgbs.build_distribution(ct.run_circuit(ct.parse_circuit(json.dumps(doc))))
     pairs = [tuple(op["targets"]) for op in doc["ops"] if op["gate"] == "fbs"][:20]
-    weakest = 1.0
     for a, b in pairs:
         for na, nb in ((1, 1), (2, 2), (1, 3)):
             pattern = [0] * doc["modes"]
             pattern[a], pattern[b] = na, nb
             ref, scale = hafnian_oracle(dist, pattern)
             assert abs(fgbs.probability(dist, pattern) - ref) <= 1e-10 * scale
-            weakest = min(weakest, ref.real)
-    assert 0.0 < weakest <= 1e-30
 
 
 def test_formula_matches_quadrature_oracle():
@@ -297,17 +296,20 @@ def test_pattern_validation():
 
 
 def test_pattern_cost_guard_parameter_and_env(monkeypatch):
-    # Pattern (2, 2) fills a 3^4 = 81-entry box.
-    dist = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
-    monkeypatch.setenv("TFSIM_MAX_COST", "81")
-    assert fgbs.probability(dist, (2, 2)) >= 0.0
-    monkeypatch.setenv("TFSIM_MAX_COST", "80")
-    with pytest.raises(CostGuardError):
-        fgbs.probability(dist, (2, 2))
-
-    monkeypatch.setenv("TFSIM_MAX_COST", "10")
-    with pytest.raises(CostGuardError):
-        fgbs.total_probability(dist, cutoff=4)
+    # One unit per box entry: pattern (2, 2) fills a 3^2 = 9-entry box of B for a pure
+    # source and a 3^4 = 81-entry box of A for a mixed one; so does a cutoff-2 table.
+    pure = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
+    mixed = fgbs.build_distribution(g.GaussianTFState(np.zeros(4), np.eye(4)))
+    assert not mixed.is_pure
+    for dist, units in ((pure, 9), (mixed, 81)):
+        monkeypatch.setenv("TFSIM_MAX_COST", str(units))
+        assert fgbs.probability(dist, (2, 2)) >= 0.0
+        assert fgbs.total_probability(dist, cutoff=2) >= 0.0
+        monkeypatch.setenv("TFSIM_MAX_COST", str(units - 1))
+        with pytest.raises(CostGuardError, match=f"pattern \\(2, 2\\) costs {units} "):
+            fgbs.probability(dist, (2, 2))
+        with pytest.raises(CostGuardError, match=f"cutoff 2 costs {units} "):
+            fgbs.total_probability(dist, cutoff=2)
 
 
 def test_cost_limit_rejects_negative_and_malformed_values(monkeypatch):
@@ -390,12 +392,11 @@ def test_enumeration_rejects_negative_cutoff():
 def test_negative_probability_is_refused_by_both_routes(monkeypatch):
     # One pattern and a table share one finish: a kernel value whose probability is
     # below -1e-9 is an ArithmeticError on either route; the table alone clips above it.
-    dist = fgbs.build_distribution(scaled_state(1.2))
-    monkeypatch.setattr(fgbs, "hafnian_corner", lambda a, sides: np.complex128(-1e-6))
-    with pytest.raises(ArithmeticError, match="negative probability"):
-        fgbs.probability(dist, (2,))
+    # A pure source's hafnians are squares, so the source is thermal.
+    dist = fgbs.build_distribution(g.GaussianTFState(np.zeros(2), np.eye(2)))
     monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-6 + 0j))
     for call in (
+        lambda: fgbs.probability(dist, (2,)),
         lambda: fgbs.total_probability(dist, cutoff=2),
         lambda: fgbs.probability_table_csv(dist, cutoff=2),
         lambda: fgbs.sample(dist, shots=1, rng_seed=0, cutoff=2),
@@ -425,6 +426,39 @@ def test_probability_table_csv():
     pat, prob = lines[1].split(",")
     assert pat == "0"
     assert float(prob) == pytest.approx(fgbs.probability(dist, (0,)), rel=1e-15)
+
+
+def random_gates_state(rng, n, s_lo, s_hi):
+    """An n-mode vacuum through six seeded fbs, frft and scale(s_lo..s_hi) gates."""
+    state = g.vacuum_state(n)
+    for _ in range(6):
+        mode = int(rng.integers(n))
+        if n > 1 and rng.random() < 0.4:
+            state = g.apply(state, "fbs", (mode, (mode + 1) % n))
+        elif rng.random() < 0.5:
+            state = g.apply(state, "frft", (mode,), phi=float(rng.uniform(0, 2 * np.pi)))
+        else:
+            state = g.apply(state, "scale", (mode,), s=float(rng.uniform(s_lo, s_hi)))
+    return state
+
+
+def test_pure_patterns_and_tables_equal_the_box_of_the_dense_kernel():
+    # The B path against hafnian_box on the dense A, off-diagonal block and all.
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        state = random_gates_state(rng, n, 0.7, 1.4)
+        dist = fgbs.build_distribution(state)
+        assert dist.is_pure
+        cutoff = {1: 12, 2: 6, 3: 3}[n]
+        dense = dense_kernel(g.to_complex_covariance(state) + 0.5 * np.eye(2 * n))
+        box = hf.hafnian_box(dense, [cutoff + 1] * (2 * n))
+        expected = dist.prefactor * box.reshape((cutoff + 1) ** n, -1).diagonal().real
+        patterns, probs = fgbs._enumerate_probabilities(dist, cutoff)
+        singles = [fgbs.probability(dist, p) for p in patterns]
+        tol = 1e-14 * np.max(expected)
+        assert np.max(np.abs(probs - expected)) <= tol
+        assert np.max(np.abs(np.array(singles) - expected)) <= tol
 
 
 def test_table_equals_per_pattern_probabilities_bit_for_bit():
@@ -480,15 +514,7 @@ def kernel_states():
     rng = np.random.default_rng(61)
     for trial in range(24):
         n = trial % 4 + 1
-        state = g.vacuum_state(n)
-        for _ in range(6):
-            mode = int(rng.integers(n))
-            if n > 1 and rng.random() < 0.4:
-                state = g.apply(state, "fbs", (mode, (mode + 1) % n))
-            elif rng.random() < 0.5:
-                state = g.apply(state, "frft", (mode,), phi=float(rng.uniform(0, 2 * np.pi)))
-            else:
-                state = g.apply(state, "scale", (mode,), s=float(rng.uniform(0.5, 2.0)))
+        state = random_gates_state(rng, n, 0.5, 2.0)
         if trial % 3 == 0:  # mixed
             state = g.GaussianTFState(state.mean, state.cov + 0.2 * np.eye(2 * n))
         yield state
@@ -498,11 +524,20 @@ def kernel_states():
 def test_kernel_is_the_dense_block_swap_byte_for_byte():
     # build_distribution permutes the rows of I - Sigma_Q^-1 instead of
     # multiplying by X; the product only adds exact zeros, so A is unchanged.
+    # A pure source keeps the top-left block B and stores B (+) conj(B): the
+    # dense kernel's off-diagonal block it drops is rounding noise.
     for state in kernel_states():
-        a = fgbs.build_distribution(state).a_matrix
+        dist = fgbs.build_distribution(state)
+        a = dist.a_matrix
         n = state.n_modes
         sigma_q = g.to_complex_covariance(state) + 0.5 * np.eye(2 * n)
-        assert np.array_equal(a, dense_kernel(sigma_q)), n
+        dense = dense_kernel(sigma_q)
+        if dist.is_pure:
+            b, zero = dense[:n, :n], np.zeros((n, n))
+            assert np.array_equal(a, np.block([[b, zero], [zero, b.conj()]])), n
+            assert np.max(np.abs(dense[:n, n:])) <= 1e-15, n
+        else:
+            assert np.array_equal(a, dense), n
         # And from Sigma_Q = W Sigma W^dagger + I/2 built with the dense W.
         eye = np.eye(n)
         w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)

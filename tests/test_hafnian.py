@@ -190,20 +190,3 @@ def test_hafnian_box_empty_and_invalid():
     with pytest.raises(ValueError):
         hf.hafnian_box(A, (2, 0, 2, 2))
 
-
-def test_hafnian_corner_is_the_box_corner_byte_for_byte():
-    # The corner is filled by the box's own step on windows of its slices, so
-    # it must equal the box's corner exactly, not within a tolerance.
-    rng = np.random.default_rng(20)
-    assert hf.hafnian_corner(np.zeros((0, 0)), ()) == hf.hafnian_box(np.zeros((0, 0)), ())[()]
-    for _ in range(300):
-        n = int(rng.integers(0, 7))
-        shape = tuple(int(d) for d in rng.integers(1, 8, size=n))
-        A = random_symmetric(rng, n)
-        corner = hf.hafnian_box(A, shape)[tuple(d - 1 for d in shape)]
-        assert hf.hafnian_corner(A, shape) == corner, shape
-    A = random_symmetric(rng, 4)
-    with pytest.raises(ValueError):
-        hf.hafnian_corner(A, (2, 2))
-    with pytest.raises(ValueError):
-        hf.hafnian_corner(A, (2, 0, 2, 2))

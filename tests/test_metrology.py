@@ -1,5 +1,6 @@
 """Tests for two-photon phase estimation in the fixed total-index sector."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -348,6 +349,13 @@ def test_sector_cost_guard_in_metrology():
         mt.twin_state(1000)
     with pytest.raises(CostGuardError):
         mt.precision_sweep((2, 4, 4_000_000), "fisher")
+
+
+def test_precision_sweep_charges_each_photon_number_as_it_is_read(monkeypatch):
+    # An unbounded iterable is refused at its first N over the guard, not built.
+    monkeypatch.delenv("TFSIM_MAX_COST", raising=False)
+    with pytest.raises(CostGuardError, match=r"^sector k=1000 costs 1002001 > limit 1000000$"):
+        mt.precision_sweep(itertools.count(2, 2), "fisher")
 
 
 def test_fisher_periodicity_in_pi():

@@ -62,7 +62,6 @@ COUNTS = {
     "probability": (lambda v: fgbs.probability(DIST, (v,)), "pattern entry"),
     "reduce": (lambda v: hafnian.reduce(A2, (v,)), "pattern entry"),
     "hafnian_box": (lambda v: hafnian.hafnian_box(A2, (v, 2)), "box side"),
-    "hafnian_corner": (lambda v: hafnian.hafnian_corner(A2, (2, v)), "box side"),
 }
 
 #: Entry point -> (call with one real number, the number's name).
