@@ -14,25 +14,24 @@ A pure source has A = B (+) conj(B) (Hamilton et al., PRL 119, 170501
 mode: prod (n_i + 1) entries for one pattern, (c + 1)^N for a table up to a
 cutoff c. Odd totals come out as exact zeros. A mixed source fills the 2N-axis
 box of A, prod (n_i + 1)^2 or (c + 1)^(2N) entries, and reads its (n, n)
-diagonal. One pattern fills the box of its nonzero modes only and reads the
-last entry; a table reads the whole box. The two give the same bytes for the
-same pattern.
+diagonal. Patterns and tables read one probability box, indexed by the
+pattern and clipped at 0 above -1e-9: a pattern reads the last entry of the box
+of its nonzero modes, the same bytes as a table's entry for it, and the sampler
+turns only the drawn indices into pattern tuples.
 
 Everything is cross-checked against :func:`oracle_probability`, which knows
 nothing of hafnians: it reconstructs the pure-state frequency wavefunction
 from the covariance matrix and projects it onto the HG product basis by
 tensor-product Gauss-Hermite quadrature.
 
-Cost guards protect the hafnian evaluation, the sampler's pattern
-enumeration and its draws; the limit defaults to
-:data:`tfsim.exceptions.DEFAULT_MAX_COST` cost units (one unit = one entry of
-the recurrence box or one shot) and is set through the
+Cost guards protect the hafnian box and the sampler's draws: one unit is one
+box entry or one shot. The limit defaults to
+:data:`tfsim.exceptions.DEFAULT_MAX_COST` units and is set through the
 TFSIM_MAX_COST environment variable (a non-negative decimal integer).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -133,39 +132,34 @@ def build_distribution(state):
     return FgbsDistribution(a_matrix=a, prefactor=1.0 / math.sqrt(abs(det)), is_pure=is_pure)
 
 
-def _hafnians(dist, modes, sides, what):
-    """haf(reduce(A, m)) / m! for every pattern m < ``sides`` on ``modes``, the other modes
-    empty, as an array of shape ``sides``: |R|^2 of the box of B's rows ``modes`` for a
-    pure source, else the (m, m) diagonal of the box of A's rows ``modes`` and N + ``modes``.
-    Charges ``what`` one cost unit per box entry before it fills the box."""
+def _probability_box(dist, last, what):
+    """P(m) for every pattern m <= ``last`` on the modes nonzero in ``last``, the others
+    empty, indexed by m on those modes: prefactor times |R|^2 of B's box (pure source) or
+    the (m, m) diagonal of A's box (mixed). Charges ``what`` one unit per box entry first,
+    refuses an imaginary residue above IMAG_TOL or a value below -1e-9, clips the rest at 0."""
+    modes = [i for i, v in enumerate(last) if v]
+    sides = [last[i] + 1 for i in modes]
     if dist.is_pure:
         _check_cost(math.prod(sides), what)
-        return np.abs(hafnian_box(dist.a_matrix[np.ix_(modes, modes)], sides)) ** 2
-    _check_cost(math.prod(sides) ** 2, what)
-    idx = [*modes, *(dist.n_modes + i for i in modes)]
-    box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [*sides, *sides])
-    return box.reshape(math.prod(sides), -1).diagonal().reshape(sides)
-
-
-def _probabilities(dist, hafnians):
-    """The one finish of pattern probabilities: ``dist.prefactor`` times the hafnians,
-    whose imaginary residue above IMAG_TOL, or a value below -1e-9, is refused."""
+        hafnians = np.abs(hafnian_box(dist.a_matrix[np.ix_(modes, modes)], sides)) ** 2
+    else:
+        _check_cost(math.prod(sides) ** 2, what)
+        idx = [*modes, *(dist.n_modes + i for i in modes)]
+        box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [*sides, *sides])
+        hafnians = box.reshape(math.prod(sides), -1).diagonal()
     values = dist.prefactor * hafnians
     residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_TOL:
         raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
     if float(np.min(values.real)) < -1e-9:
         raise ArithmeticError(f"negative probability {np.min(values.real):.3e} encountered")
-    return values.real
+    return np.clip(values.real, 0.0, None).reshape(sides)
 
 
 def probability(dist, pattern):
-    """Exact probability of one detection pattern: the last entry of the box of its
-    nonzero modes."""
+    """Exact probability of one detection pattern: the last entry of its box."""
     pattern = _check_pattern(pattern, dist.n_modes)
-    active = [i for i, v in enumerate(pattern) if v]
-    hafnians = _hafnians(dist, active, [pattern[i] + 1 for i in active], f"pattern {pattern}")
-    return float(_probabilities(dist, hafnians.flat[-1]))
+    return float(_probability_box(dist, pattern, f"pattern {pattern}").flat[-1])
 
 
 def _pure_wavefunction_params(state):
@@ -218,41 +212,42 @@ def oracle_probability(state, pattern):
     return float(np.abs(amp) ** 2)
 
 
-def _enumerate_probabilities(dist, cutoff):
-    cutoff = _check_int(cutoff, "cutoff")
-    n = dist.n_modes
-    hafnians = _hafnians(dist, range(n), [cutoff + 1] * n,
-                         f"enumerating patterns up to cutoff {cutoff}")
-    patterns = list(itertools.product(range(cutoff + 1), repeat=n))
-    return patterns, np.clip(_probabilities(dist, hafnians.ravel()), 0.0, None)
+def _cutoff_box(dist, cutoff):
+    """The probability box of every pattern with each entry <= ``cutoff``."""
+    cutoff, n = _check_int(cutoff, "cutoff"), dist.n_modes
+    box = _probability_box(dist, (cutoff,) * n, f"enumerating patterns up to cutoff {cutoff}")
+    return box.reshape((cutoff + 1,) * n)
 
 
 def total_probability(dist, cutoff):
     """Total mass of all patterns with every entry <= cutoff."""
-    _, probs = _enumerate_probabilities(dist, cutoff)
-    return float(probs.sum())
+    return float(_cutoff_box(dist, cutoff).sum())
 
 
 def sample(dist, shots, rng_seed, cutoff):
-    """Draw detection patterns by exact enumeration and CDF inversion.
+    """Draw detection patterns by CDF inversion over the cutoff box.
 
-    Each shot costs one unit against the guard, charged before anything is
-    enumerated or drawn. The truncation must capture at least MASS_REQUIREMENT
-    of the distribution, else :class:`InsufficientMassError` reports the
-    achieved mass. Identical seeds give identical sequences.
+    Each shot costs one unit against the guard, charged before the box is
+    filled or anything drawn. The truncation must capture at least
+    MASS_REQUIREMENT of the distribution, else :class:`InsufficientMassError`
+    reports the achieved mass. Only the drawn box entries become pattern
+    tuples, shared by the shots that drew them. Identical seeds give identical
+    sequences.
     """
     shots, rng_seed = _check_int(shots, "shots"), _check_int(rng_seed, "rng_seed")
     _check_cost(shots, f"{shots} shots")
-    patterns, probs = _enumerate_probabilities(dist, cutoff)
+    box = _cutoff_box(dist, cutoff)
+    probs = box.ravel()
     mass = float(probs.sum())
     if mass < MASS_REQUIREMENT:
         raise InsufficientMassError(mass, MASS_REQUIREMENT)
     cdf = np.cumsum(probs / mass)
     cdf[-1] = 1.0
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.random(shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    return [patterns[i] for i in idx]
+    idx = np.searchsorted(cdf, np.random.default_rng(rng_seed).random(shots), side="right")
+    drawn = np.zeros(probs.size, dtype=bool)
+    drawn[idx] = True
+    patterns = list(zip(*(m.tolist() for m in np.unravel_index(np.flatnonzero(drawn), box.shape))))
+    return [patterns[i] for i in (np.cumsum(drawn) - 1)[idx].tolist()]
 
 
 def _samples_table(samples):
@@ -271,8 +266,8 @@ def samples_to_jsonl(samples):
 
 def probability_table_csv(dist, cutoff):
     """Tabulate pattern probabilities as CSV (pattern entries ';'-joined)."""
-    patterns, probs = _enumerate_probabilities(dist, cutoff)
-    modes = np.array(patterns).reshape(len(patterns), dist.n_modes).T
+    box = _cutoff_box(dist, cutoff)
+    modes = np.indices(box.shape).reshape(dist.n_modes, -1)
     row = [piece for mode in modes for piece in (";", ints(mode))][1:]
-    row += [",", floats(probs), "\n"]
-    return table_text("pattern,probability\n", row, len(patterns))
+    row += [",", floats(box.ravel()), "\n"]
+    return table_text("pattern,probability\n", row, box.size)

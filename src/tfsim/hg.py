@@ -66,9 +66,9 @@ class QuadratureRule:
 
     Attributes
     ----------
-    nodes : ndarray
+    nodes : ndarray (read-only copy)
         Strictly increasing quadrature nodes.
-    scaled_weights : ndarray
+    scaled_weights : ndarray (read-only copy)
         Positive scaled weights W = w e^{x^2}; sum W g(x) approximates the
         integral of g, exactly when g e^{x^2} is a polynomial of degree
         <= 2*order - 1.
@@ -78,14 +78,16 @@ class QuadratureRule:
     scaled_weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        scaled = np.asarray(self.scaled_weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        scaled = np.array(self.scaled_weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != scaled.shape or nodes.size < 1:
             raise ValueError("nodes and weights must be non-empty 1-d arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not np.all((scaled > 0) & np.isfinite(scaled)):
             raise ValueError("weights must be positive")
+        nodes.setflags(write=False)
+        scaled.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "scaled_weights", scaled)
 

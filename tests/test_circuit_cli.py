@@ -1,5 +1,6 @@
 """Tests for the circuit JSON schema, its runner, and the command-line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -511,8 +512,10 @@ def test_cli_fgbs_prob_matches_library(tmp_path, capsys):
 
 def test_cli_fgbs_prob_refuses_a_negative_probability(tmp_path, capsys, monkeypatch):
     path = write_circuit(tmp_path, MIXER_2)
-    # Every circuit source is pure, whose hafnians are squares: the helper is patched.
-    monkeypatch.setattr(fgbs, "_hafnians", lambda dist, modes, sides, what: np.full(sides, -1e-6))
+    # Every circuit source is pure, whose values are squares: the prefactor is negated.
+    build = fgbs.build_distribution
+    monkeypatch.setattr(fgbs, "build_distribution",
+                        lambda state: dataclasses.replace(build(state), prefactor=-1.0))
     assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "2,0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -578,7 +581,7 @@ def test_cli_fgbs_sample_shots_refused_from_the_estimate(tmp_path, capsys, monke
     def refuse(*args):
         raise AssertionError("the estimate alone must refuse this many shots")
 
-    monkeypatch.setattr(fgbs, "_enumerate_probabilities", refuse)
+    monkeypatch.setattr(fgbs, "_probability_box", refuse)
     path = write_circuit(tmp_path, VACUUM_1)
     argv = ["fgbs", "sample", "--circuit", path, "--shots", "1000000000000"]
     assert cli.main(argv) == 4

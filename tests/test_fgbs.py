@@ -1,5 +1,6 @@
 """Tests for frequency-domain Gaussian boson sampling probabilities and sampling."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -352,6 +353,55 @@ def test_sample_determinism_and_parity():
     assert len(first) == 500
 
 
+def pinned_pure_state():
+    state = g.vacuum_state(3)
+    state = g.apply(state, "scale", (0,), s=1.4)
+    state = g.apply(state, "scale", (1,), s=0.8)
+    state = g.apply(state, "fbs", (0, 1))
+    state = g.apply(state, "frft", (2,), phi=0.7)
+    return g.apply(state, "fbs", (1, 2))
+
+
+def pinned_mixed_state():
+    state = g.apply(g.vacuum_state(2), "scale", (0,), s=1.3)
+    state = g.apply(state, "fbs", (0, 1))
+    return g.GaussianTFState(state.mean, state.cov + 0.05 * np.eye(4))
+
+
+@pytest.mark.parametrize("make_state, cutoff, first, digest", [
+    (pinned_pure_state, 8, [(0, 0, 0)] * 5 + [(1, 0, 1)],
+     "fcf93d9d36b1bcfed8601d26aee85179a11ec4832fdd1b5781726cb83b1eea6f"),
+    (pinned_mixed_state, 6, [(0, 0)] * 5 + [(0, 3)],
+     "9a76fc9655a0aaab8228e9b600df1da06f428aaf0bedd19d6c8ec167fcdeed50"),
+])
+def test_seeded_samples_are_pinned(make_state, cutoff, first, digest):
+    # Which pattern each seeded draw becomes: the table's order, its CDF and the draw.
+    dist = fgbs.build_distribution(make_state())
+    samples = fgbs.sample(dist, shots=2000, rng_seed=11, cutoff=cutoff)
+    assert samples[:6] == first
+    assert all(type(v) is int for p in samples for v in p)
+    assert hashlib.sha256(fgbs.samples_to_jsonl(samples).encode()).hexdigest() == digest
+
+
+def test_largest_admitted_table_samples_in_bounded_memory():
+    # A pure 6-mode state at cutoff 8: 9^6 = 531441 entries, the default guard's
+    # largest table. Only the drawn entries become pattern tuples.
+    state = g.vacuum_state(6)
+    for m in range(6):
+        state = g.apply(state, "scale", (m,), s=1.0 + 0.05 * (m + 1))
+    for m in range(5):
+        state = g.apply(state, "fbs", (m, m + 1))
+    dist = fgbs.build_distribution(state)
+    tracemalloc.start()
+    try:
+        samples = fgbs.sample(dist, shots=10, rng_seed=1, cutoff=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 10 and all(len(p) == 6 for p in samples)
+    assert peak < 32e6
+
+
 def test_sample_frequencies_track_probabilities():
     dist = fgbs.build_distribution(scaled_state(1.5))
     shots = 20000
@@ -391,7 +441,7 @@ def test_enumeration_rejects_negative_cutoff():
 
 def test_negative_probability_is_refused_by_both_routes(monkeypatch):
     # One pattern and a table share one finish: a kernel value whose probability is
-    # below -1e-9 is an ArithmeticError on either route; the table alone clips above it.
+    # below -1e-9 is an ArithmeticError on either route, and both clip above it to 0.
     # A pure source's hafnians are squares, so the source is thermal.
     dist = fgbs.build_distribution(g.GaussianTFState(np.zeros(2), np.eye(2)))
     monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-6 + 0j))
@@ -405,6 +455,7 @@ def test_negative_probability_is_refused_by_both_routes(monkeypatch):
             call()
     monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-12 + 0j))
     assert fgbs.probability_table_csv(dist, cutoff=1) == "pattern,probability\n0,0\n1,0\n"
+    assert fgbs.probability(dist, (1,)) == 0.0
 
 
 def test_samples_to_jsonl():
@@ -454,10 +505,10 @@ def test_pure_patterns_and_tables_equal_the_box_of_the_dense_kernel():
         dense = dense_kernel(g.to_complex_covariance(state) + 0.5 * np.eye(2 * n))
         box = hf.hafnian_box(dense, [cutoff + 1] * (2 * n))
         expected = dist.prefactor * box.reshape((cutoff + 1) ** n, -1).diagonal().real
-        patterns, probs = fgbs._enumerate_probabilities(dist, cutoff)
-        singles = [fgbs.probability(dist, p) for p in patterns]
+        probs = fgbs._cutoff_box(dist, cutoff)
+        singles = [fgbs.probability(dist, p) for p in np.ndindex(probs.shape)]
         tol = 1e-14 * np.max(expected)
-        assert np.max(np.abs(probs - expected)) <= tol
+        assert np.max(np.abs(probs.ravel() - expected)) <= tol
         assert np.max(np.abs(np.array(singles) - expected)) <= tol
 
 
@@ -480,8 +531,8 @@ def test_table_equals_per_pattern_probabilities_bit_for_bit():
             state = g.GaussianTFState(state.mean, state.cov + 0.1 * np.eye(2 * n))
         dist = fgbs.build_distribution(state)
         cutoff = int(rng.integers(2, {1: 14, 2: 8, 3: 5}[n]))
-        patterns, probs = fgbs._enumerate_probabilities(dist, cutoff)
-        for pattern, value in zip(patterns, probs.tolist()):
+        probs = fgbs._cutoff_box(dist, cutoff)
+        for pattern, value in zip(np.ndindex(probs.shape), probs.ravel().tolist()):
             assert max(fgbs.probability(dist, pattern), 0.0) == value, (trial, pattern)
 
 

@@ -344,3 +344,16 @@ def test_quadrature_rule_validation():
             hg.QuadratureRule(nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, bad]))
     rule = hg.QuadratureRule(nodes=np.array([-1.0, 1.0]), scaled_weights=np.array([1.0, 1.0]))
     assert rule.order == len(rule.nodes) == 2
+
+
+def test_quadrature_rule_stores_read_only_copies():
+    # A checked rule cannot be turned into one with non-increasing nodes or a negative
+    # weight, through the caller's arrays or its own.
+    x, w = np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 1.0])
+    rule = hg.QuadratureRule(x, w)
+    x[0], w[1] = 5.0, -1.0
+    assert rule.nodes.tolist() == [-1.0, 0.0, 1.0]
+    assert rule.scaled_weights.tolist() == [1.0, 2.0, 1.0]
+    for array in (rule.nodes, rule.scaled_weights, hg.gauss_hermite(4).nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0.0
