@@ -7,9 +7,14 @@ two-photon joint spectral amplitudes and the frequency beam splitter
 hafnian kernels (:mod:`tfsim.hafnian`), frequency-based Gaussian boson
 sampling (:mod:`tfsim.fgbs`), circuit descriptions (:mod:`tfsim.circuit`),
 and the command-line front end (:mod:`tfsim.cli`).
+
+The submodules load on first attribute access (PEP 562), so ``import tfsim.cli``
+does not import NumPy and each subcommand compiles only the modules it runs.
 """
 
-from . import circuit, exceptions, fgbs, gaussian, hafnian, hg, metrology, twophoton
+import importlib
+
+from . import exceptions
 from .exceptions import (
     CostGuardError,
     InsufficientMassError,
@@ -36,3 +41,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_LAZY = frozenset(["hg", "hafnian", "gaussian", "twophoton", "metrology", "fgbs", "circuit"])
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,6 +29,9 @@ flag, a --circuit path that cannot be read, and a write that fails part-way,
 such as a closed pipe, which stops the output and leaves a partial ``--out``
 file); ``--help`` exits 0. The TFSIM_MAX_COST environment variable
 relaxes or tightens the cost guards.
+
+Each handler imports the library modules it runs, so importing this module loads
+no NumPy and a subcommand loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ import json
 import os
 import sys
 
-from . import fgbs, metrology, twophoton
-from ._text import chunks
-from .circuit import parse_circuit, run_circuit
 from .exceptions import (
     CostGuardError,
     InsufficientMassError,
@@ -48,7 +48,6 @@ from .exceptions import (
     TfsimError,
     UnknownGateError,
 )
-from .gaussian import PhaseSpaceGrid, _wigner_table
 
 __all__ = ["main"]
 
@@ -65,6 +64,8 @@ def _json_text(payload):
 
 
 def _load_state(path):
+    from .circuit import parse_circuit, run_circuit
+
     with open(path, encoding="utf-8") as fh:
         return run_circuit(parse_circuit(fh.read()))
 
@@ -88,6 +89,8 @@ def _parse_photons(text):
 
 
 def _parse_grid(text):
+    from .gaussian import PhaseSpaceGrid
+
     parts = text.split(",")
     axes = [part.split(":") for part in parts[:2]]
     if len(parts) not in (2, 3) or any(len(axis) != 3 for axis in axes):
@@ -105,6 +108,8 @@ def _parse_grid(text):
 
 
 def _cmd_hom(args):
+    from . import twophoton
+
     jsa = twophoton.hom_output(args.n)
     payload = {
         "command": "hom",
@@ -122,12 +127,17 @@ def _cmd_hom(args):
 
 
 def _cmd_metrology(args):
+    from . import metrology
+    from ._text import chunks
+
     values = _parse_photons(args.photons)
     rows = metrology.precision_sweep(values, args.estimator, phi=args.phase)
     return chunks(*metrology._sweep_table(rows))
 
 
 def _cmd_fgbs_prob(args):
+    from . import fgbs
+
     state = _load_state(args.circuit)
     dist = fgbs.build_distribution(state)
     pattern = _parse_pattern(args.pattern)
@@ -141,12 +151,18 @@ def _cmd_fgbs_prob(args):
 
 
 def _cmd_fgbs_sample(args):
+    from . import fgbs
+    from ._text import chunks
+
     dist = fgbs.build_distribution(_load_state(args.circuit))
     samples = fgbs.sample(dist, args.shots, args.seed, args.cutoff)
     return chunks(*fgbs._samples_table(samples))
 
 
 def _cmd_wigner(args):
+    from ._text import chunks
+    from .gaussian import _wigner_table
+
     state = _load_state(args.circuit)
     return chunks(*_wigner_table(state, _parse_grid(args.grid), args.mode))
 
@@ -182,7 +198,7 @@ def _build_parser():
     met.add_argument(
         "--estimator",
         default="fisher",
-        help=f"precision estimator: {', '.join(metrology.ESTIMATORS)} (default fisher)",
+        help="precision estimator: jz, jz_squared, fisher (default fisher)",
     )
     met.add_argument(
         "--phase",

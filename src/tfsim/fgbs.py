@@ -41,7 +41,6 @@ from ._text import floats, ints, table_text, texts
 from .exceptions import CostGuardError, InsufficientMassError, _check_cost, _check_int
 from .gaussian import _inverse_and_det, purity_defect, to_complex_covariance
 from .hafnian import _check_pattern, hafnian_box
-from .hg import gauss_hermite, hermite_functions
 
 __all__ = [
     "FgbsDistribution",
@@ -136,7 +135,8 @@ def _probability_box(dist, last, what):
     """P(m) for every pattern m <= ``last`` on the modes nonzero in ``last``, the others
     empty, indexed by m on those modes: prefactor times |R|^2 of B's box (pure source) or
     the (m, m) diagonal of A's box (mixed). Charges ``what`` one unit per box entry first,
-    refuses an imaginary residue above IMAG_TOL or a value below -1e-9, clips the rest at 0."""
+    refuses a mixed source's imaginary residue above IMAG_TOL or a value below -1e-9, clips
+    the rest at 0."""
     modes = [i for i, v in enumerate(last) if v]
     sides = [last[i] + 1 for i in modes]
     if dist.is_pure:
@@ -148,12 +148,14 @@ def _probability_box(dist, last, what):
         box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [*sides, *sides])
         hafnians = box.reshape(math.prod(sides), -1).diagonal()
     values = dist.prefactor * hafnians
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > IMAG_TOL:
-        raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
-    if float(np.min(values.real)) < -1e-9:
-        raise ArithmeticError(f"negative probability {np.min(values.real):.3e} encountered")
-    return np.clip(values.real, 0.0, None).reshape(sides)
+    if np.iscomplexobj(values):  # a mixed source; a pure source's |R|^2 is real
+        residue = float(np.max(np.abs(values.imag)))
+        if residue > IMAG_TOL:
+            raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
+        values = values.real
+    if float(np.min(values)) < -1e-9:
+        raise ArithmeticError(f"negative probability {np.min(values):.3e} encountered")
+    return np.clip(values, 0.0, None).reshape(sides)
 
 
 def probability(dist, pattern):
@@ -187,6 +189,8 @@ def oracle_probability(state, pattern):
     from the covariance matrix and evaluates |<n|psi>|^2 with a
     tensor-product Gauss-Hermite rule. Limited to 3 modes and total index 8.
     """
+    from .hg import gauss_hermite, hermite_functions  # only the oracle needs hg
+
     n_modes = state.n_modes
     pattern = _check_pattern(pattern, n_modes)
     if n_modes > 3:

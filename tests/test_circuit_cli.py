@@ -485,7 +485,9 @@ def test_cli_help_still_exits_0(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: tfsim") and captured.err == ""
     if argv[0] == "metrology":
-        assert "jz, jz_squared, fisher" in " ".join(captured.out.split())
+        # The help is spelled out, not read from metrology, so it must list exactly its names.
+        listed = f"precision estimator: {', '.join(metrology.ESTIMATORS)} (default fisher)"
+        assert listed in " ".join(captured.out.split())
 
 
 def test_cli_fgbs_prob_vacuum(tmp_path, capsys):
@@ -651,6 +653,11 @@ def test_cli_circuit_size_is_charged_before_allocation(tmp_path, capsys, monkeyp
     assert err["type"] == "cost-guard" and "circuit of 2 modes costs 16" in err["message"]
     monkeypatch.setenv("TFSIM_MAX_COST", "16")
     assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "0,0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["pattern"] == [0, 0]
+    assert 0.0 < payload["probability"] <= 1.0
 
 
 def test_cli_fgbs_prob_thirty_photon_pairs(tmp_path, capsys):
@@ -943,18 +950,81 @@ def test_console_entry_point_runs():
     assert payload["coincidence"]["probability"] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_cli_import_loads_no_scipy():
-    # The package depends on NumPy only; importing SciPy was half of CLI start-up.
+def _child_json(code, cwd=None):
+    """Run ``code`` in a fresh interpreter on this source tree; parse its last stdout line."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, tfsim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+LOADED = (
+    "import json, sys; "
+    "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'tfsim'), "
+    "[m for m in ('numpy', 'scipy') if m in sys.modules]]))"
+)
+
+
+def test_cli_import_loads_no_scipy():
+    # The package depends on NumPy only, and the CLI module imports none of it:
+    # each handler imports the library modules it runs.
+    tfsim_modules, heavy = _child_json("import tfsim.cli; " + LOADED)
+    assert tfsim_modules == ["tfsim", "tfsim.cli", "tfsim.exceptions"]
+    assert heavy == []
+
+
+#: The tfsim modules each subcommand loads, beyond tfsim, tfsim.cli and tfsim.exceptions.
+SUBCOMMAND_MODULES = {
+    "hom": (["hom", "--n", "2"], ["hg", "twophoton"]),
+    "metrology": (
+        ["metrology", "--photons", "2..6"],
+        ["_float_text", "_text", "hg", "metrology", "twophoton"],
+    ),
+    "fgbs-prob": (
+        ["fgbs", "prob", "--circuit", "c.json", "--pattern", "1,1"],
+        ["_text", "circuit", "fgbs", "gaussian", "hafnian"],
+    ),
+    "fgbs-sample": (
+        ["fgbs", "sample", "--circuit", "c.json", "--shots", "20"],
+        ["_text", "circuit", "fgbs", "gaussian", "hafnian"],
+    ),
+    "wigner": (
+        ["wigner", "--circuit", "c.json", "--grid=-2:2:5,-2:2:5"],
+        ["_float_text", "_text", "circuit", "gaussian"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_MODULES))
+def test_cli_subcommand_loads_only_its_modules(tmp_path, name):
+    argv, modules = SUBCOMMAND_MODULES[name]
+    write_circuit(tmp_path, MIXER_2, "c.json")
+    code = (
+        "import contextlib, io, tfsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert tfsim.cli.main({argv!r}) == 0\n" + LOADED
+    )
+    tfsim_modules, heavy = _child_json(code, cwd=tmp_path)
+    expected = ["tfsim", "tfsim.cli", "tfsim.exceptions", *(f"tfsim.{m}" for m in modules)]
+    assert tfsim_modules == sorted(expected)
+    assert heavy == ["numpy"]
+
+
+def test_lazy_package_attributes_and_star_import_resolve():
+    code = (
+        "import json, tfsim\n"
+        "names = {}\n"
+        "exec('from tfsim import *', names)\n"
+        "print(json.dumps([callable(tfsim.fgbs.build_distribution), "
+        "sorted(set(tfsim.__all__) - set(names)), tfsim.hg.__name__]))"
+    )
+    assert _child_json(code) == [True, [], "tfsim.hg"]
 
 
 def test_cli_fgbs_prob_refuses_a_sigma_inside_the_uncertainty_tolerance(
@@ -964,7 +1034,7 @@ def test_cli_fgbs_prob_refuses_a_sigma_inside_the_uncertainty_tolerance(
     path = write_circuit(tmp_path, {"modes": 1, "inputs": [
         {"type": "gaussian", "width": 1.0}], "ops": []})
     edge = g.GaussianTFState(np.zeros(2), np.diag([1e10, -1e-11]))
-    monkeypatch.setattr(cli, "run_circuit", lambda spec: edge)
+    monkeypatch.setattr(ct, "run_circuit", lambda spec: edge)
     assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "0"]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert "not normalizable" in error["message"]

@@ -458,6 +458,18 @@ def test_negative_probability_is_refused_by_both_routes(monkeypatch):
     assert fgbs.probability(dist, (1,)) == 0.0
 
 
+def test_imaginary_residue_is_refused_for_a_mixed_source(monkeypatch):
+    # A mixed source reads the complex diagonal of A's box: an imaginary part above
+    # IMAG_TOL is an ArithmeticError. One at the tolerance's scale is dropped.
+    dist = fgbs.build_distribution(g.GaussianTFState(np.zeros(2), np.eye(2)))
+    assert not dist.is_pure
+    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, 0.5 + 1e-6j))
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        fgbs.probability(dist, (1,))
+    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, 0.5 + 1e-13j))
+    assert fgbs.probability(dist, (1,)) == 0.5 * dist.prefactor
+
+
 def test_samples_to_jsonl():
     text = fgbs.samples_to_jsonl([(0, 2), (1, 1)])
     lines = text.splitlines()
