@@ -18,7 +18,7 @@ def main():
     state = g.apply(state, "scale", (1,), s=1.0 / 1.5)
     state = g.apply(state, "fbs", (0, 1))
     dist = fgbs.build_distribution(state)
-    print(f"pure source: {dist.is_pure}; prefactor {dist.prefactor:.6f}")
+    print(f"prefactor {dist.prefactor:.6f}")
 
     cutoff = 6
     mass = fgbs.total_probability(dist, cutoff)

@@ -9,8 +9,9 @@ hom
 metrology
     Phase-precision sweep; emits CSV rows ``n_photons,phi,estimator,
     delta_phi``. ``--photons`` accepts a single even integer or a range
-    ``A..B`` (step 2). Without ``--phase`` the operating point minimizing
-    delta-phi is chosen per row.
+    ``A..B`` (step 2). Without ``--phase`` each row reports the least
+    delta-phi over PHI_GRID_POINTS = 181 interior grid phases k pi / 182, so
+    its phi is optimal only to that grid's spacing.
 fgbs prob / fgbs sample
     Pattern probability, or seeded pattern samples as JSON lines, for the
     Gaussian state prepared by a circuit file.
@@ -204,7 +205,7 @@ def _build_parser():
         "--phase",
         type=float,
         default=None,
-        help="operating point in (0, pi); omit to optimize per row",
+        help="operating point in (0, pi); omit for the least delta-phi over 181 grid phases",
     )
     met.set_defaults(handler=_cmd_metrology)
 

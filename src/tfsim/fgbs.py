@@ -7,17 +7,16 @@ pattern n = (n_1, ..., n_N) of HG mode orders the probability
 
 where Sigma_Q = Sigma_c + I/2 in the (alpha, alpha*) basis, A is the
 block-swapped matrix X (I - Sigma_Q^{-1}) with X = [[0, I], [I, 0]], and
-``reduce`` repeats rows/columns i and N+i of A n_i times. The hafnians come
-from one kernel, the Gaussian recurrence :func:`~tfsim.hafnian.hafnian_box`.
-A pure source has A = B (+) conj(B) (Hamilton et al., PRL 119, 170501
-(2017)), so haf(reduce(A, n)) = |haf(B_n)|^2 and the box has N axes, one per
-mode: prod (n_i + 1) entries for one pattern, (c + 1)^N for a table up to a
-cutoff c. Odd totals come out as exact zeros. A mixed source fills the 2N-axis
-box of A, prod (n_i + 1)^2 or (c + 1)^(2N) entries, and reads its (n, n)
-diagonal. Patterns and tables read one probability box, indexed by the
-pattern and clipped at 0 above -1e-9: a pattern reads the last entry of the box
-of its nonzero modes, the same bytes as a table's entry for it, and the sampler
-turns only the drawn indices into pattern tuples.
+``reduce`` repeats rows/columns i and N+i of A n_i times. The source must be
+pure, as every circuit source is: then A = B (+) conj(B) (Hamilton et al., PRL
+119, 170501 (2017)), so haf(reduce(A, n)) = |haf(B_n)|^2, and the hafnians come
+from one kernel, the Gaussian recurrence :func:`~tfsim.hafnian.hafnian_box` on
+B. Its box has N axes, one per mode: prod (n_i + 1) entries for one pattern,
+(c + 1)^N for a table up to a cutoff c. Odd totals come out as exact zeros.
+Patterns and tables read one probability box, indexed by the pattern: a pattern
+reads the last entry of the box of its nonzero modes, the same bytes as a
+table's entry for it, and the sampler turns only the drawn indices into pattern
+tuples. Mixed sources are refused, as displaced ones are.
 
 Everything is cross-checked against :func:`oracle_probability`, which knows
 nothing of hafnians: it reconstructs the pure-state frequency wavefunction
@@ -55,11 +54,10 @@ __all__ = [
 ]
 
 MASS_REQUIREMENT = 0.999
-IMAG_TOL = 1e-10
 MEAN_TOL = 1e-12
 PURITY_TOL = 1e-8
-#: A source with |det(2 Sigma) - 1| below this is pure, and its A is stored as
-#: B (+) conj(B): the off-diagonal block, rounding noise for a pure state, is dropped.
+#: A source whose off-diagonal block of A is at most this times the condition
+#: number of Sigma_Q is pure; that block, rounding noise for a pure state, is dropped.
 PURE_SOURCE_TOL = 1e-10
 #: Order of the tensor-product Gauss-Hermite rule behind oracle_probability.
 ORACLE_RULE_ORDER = 48
@@ -67,18 +65,16 @@ ORACLE_RULE_ORDER = 48
 
 @dataclass(frozen=True)
 class FgbsDistribution:
-    """Sampling data derived from a zero-mean Gaussian state.
+    """Sampling data derived from a pure zero-mean Gaussian state.
 
-    ``a_matrix`` is the complex symmetric kernel entering the hafnian,
-    ``prefactor`` the normalization |det Sigma_Q|^{-1/2} with Sigma_Q the
-    Husimi covariance Sigma_c + I/2, and ``is_pure`` records whether the
-    source state was pure; then ``a_matrix`` is B (+) conj(B) exactly, with B
-    its top-left N x N block. ``a_matrix`` is stored as a read-only copy.
+    ``a_matrix`` is the complex symmetric kernel entering the hafnian, B (+)
+    conj(B) exactly, with B its top-left N x N block, stored as a read-only
+    copy; ``prefactor`` is the normalization |det Sigma_Q|^{-1/2} with Sigma_Q
+    the Husimi covariance Sigma_c + I/2.
     """
 
     a_matrix: np.ndarray
     prefactor: float
-    is_pure: bool
 
     def __post_init__(self):
         a = np.array(self.a_matrix)
@@ -96,19 +92,20 @@ def _check_zero_mean(state):
 
 
 def build_distribution(state):
-    """Derive (A, prefactor) from a zero-mean Gaussian state.
+    """Derive (A, prefactor) from a pure zero-mean Gaussian state.
 
     Displaced states are rejected: their probabilities would need loop
-    hafnians, which are out of scope. So is an ill-conditioned Sigma_Q, whose
-    inverse and determinant would be rounding noise. Costs one inverse, one
-    determinant and one real eigensolve: X permutes rows and W is unitary, so
-    ||A||_2 = max |lam - 1/2| / (lam + 1/2) over lam in eig(Sigma), a bound on
-    A's spectral radius that is < 1 iff Sigma > 0. Validation admits Sigma <= 0
-    only within UNCERTAINTY_TOL, so only such states are refused. The same lam
-    give the purity det(2 Sigma) = prod 2 lam. A source within PURE_SOURCE_TOL
-    of purity is taken as pure: A is stored as B (+) conj(B), with exact zeros
-    off the diagonal blocks, which moves a table of a state that impure by at
-    most about that much in total.
+    hafnians, which are out of scope. So are mixed states, and an
+    ill-conditioned Sigma_Q, whose inverse and determinant would be rounding
+    noise. Costs one inverse, one determinant and one real eigensolve: X
+    permutes rows and W is unitary, so ||A||_2 = max |lam - 1/2| / (lam + 1/2)
+    over lam in eig(Sigma), a bound on A's spectral radius that is < 1 iff
+    Sigma > 0. Validation admits Sigma <= 0 only within UNCERTAINTY_TOL, so only
+    such states are refused. The same lam give the condition number kappa =
+    (lam_max + 1/2) / (lam_min + 1/2) of Sigma_Q. A pure source has a zero
+    off-diagonal block A[:N, N:]; one at most PURE_SOURCE_TOL * kappa is taken
+    as the rounding noise of the inverse, and A is stored as B (+) conj(B) with
+    exact zeros there. A larger block is a mixed source, a ValueError.
     """
     _check_zero_mean(state)
     n = state.n_modes
@@ -124,38 +121,22 @@ def build_distribution(state):
     norm = float(np.max(np.abs(lam - 0.5) / (lam + 0.5)))
     if not norm < 1.0:
         raise ValueError(f"norm of A is {norm:.6f} >= 1; distribution not normalizable")
-    is_pure = abs(math.expm1(float(np.sum(np.log(2.0 * lam))))) < PURE_SOURCE_TOL  # lam > 0
-    if is_pure:
-        a[:n, n:] = a[n:, :n] = 0.0
-        a[n:, n:] = a[:n, :n].conj()
-    return FgbsDistribution(a_matrix=a, prefactor=1.0 / math.sqrt(abs(det)), is_pure=is_pure)
+    cross = float(np.max(np.abs(a[:n, n:])))
+    if cross > PURE_SOURCE_TOL * (lam[-1] + 0.5) / (lam[0] + 0.5):  # lam ascending, > 0
+        raise ValueError(f"mixed states are not supported; A's off-diagonal block is {cross:.3e}")
+    a[:n, n:] = a[n:, :n] = 0.0
+    a[n:, n:] = a[:n, :n].conj()
+    return FgbsDistribution(a_matrix=a, prefactor=1.0 / math.sqrt(abs(det)))
 
 
 def _probability_box(dist, last, what):
     """P(m) for every pattern m <= ``last`` on the modes nonzero in ``last``, the others
-    empty, indexed by m on those modes: prefactor times |R|^2 of B's box (pure source) or
-    the (m, m) diagonal of A's box (mixed). Charges ``what`` one unit per box entry first,
-    refuses a mixed source's imaginary residue above IMAG_TOL or a value below -1e-9, clips
-    the rest at 0."""
+    empty, indexed by m on those modes: prefactor times |R|^2 of B's box, charged to
+    ``what`` one unit per box entry before it is filled."""
     modes = [i for i, v in enumerate(last) if v]
     sides = [last[i] + 1 for i in modes]
-    if dist.is_pure:
-        _check_cost(math.prod(sides), what)
-        hafnians = np.abs(hafnian_box(dist.a_matrix[np.ix_(modes, modes)], sides)) ** 2
-    else:
-        _check_cost(math.prod(sides) ** 2, what)
-        idx = [*modes, *(dist.n_modes + i for i in modes)]
-        box = hafnian_box(dist.a_matrix[np.ix_(idx, idx)], [*sides, *sides])
-        hafnians = box.reshape(math.prod(sides), -1).diagonal()
-    values = dist.prefactor * hafnians
-    if np.iscomplexobj(values):  # a mixed source; a pure source's |R|^2 is real
-        residue = float(np.max(np.abs(values.imag)))
-        if residue > IMAG_TOL:
-            raise ArithmeticError(f"probability has imaginary residue {residue:.3e}")
-        values = values.real
-    if float(np.min(values)) < -1e-9:
-        raise ArithmeticError(f"negative probability {np.min(values):.3e} encountered")
-    return np.clip(values, 0.0, None).reshape(sides)
+    _check_cost(math.prod(sides), what)
+    return dist.prefactor * np.abs(hafnian_box(dist.a_matrix[np.ix_(modes, modes)], sides)) ** 2
 
 
 def probability(dist, pattern):

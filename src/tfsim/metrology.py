@@ -197,16 +197,20 @@ def quantum_fisher_information(n_total, state=None):
 
 
 def best_precision(n_total, estimator, state=None):
-    """Minimize delta-phi over PHI_GRID_POINTS interior phases; the estimate's
-    ``phi`` is the operating point.
+    """The least delta-phi over PHI_GRID_POINTS = 181 interior grid phases
+    k pi / (PHI_GRID_POINTS + 1); the estimate's ``phi`` is that grid phase.
 
-    The whole grid is evaluated as one batch; ties go to the smallest phi.
+    The whole grid is evaluated as one batch; ties go to the smallest phi. The
+    grid's spacing limits the result: where delta-phi keeps falling toward
+    phi = 0 or pi, the reported phi is the grid's first or last phase, not an
+    optimum.
     """
     return _best(n_total, np.linspace(0.0, np.pi, PHI_GRID_POINTS + 2)[1:-1], estimator, state)
 
 
 def precision_sweep(n_values, estimator, phi=None):
-    """Rows (N, phi, estimator, delta_phi); phi=None optimizes per N."""
+    """Rows (N, phi, estimator, delta_phi); phi=None takes, per N, the least
+    delta-phi over the PHI_GRID_POINTS interior grid phases of best_precision."""
     # Each N passes the count rule and the sector charge as it is read, so no list grows
     # past the guard or below 2, even from an unbounded iterable.
     n_values = [_check_sector_cost(_check_int(n, "n_total", 2)) for n in n_values]
@@ -237,7 +241,7 @@ def sweep_csv_text(rows):
 
 
 def heisenberg_slope(n_values=tuple(range(2, 21, 2))):
-    """Fitted log-log slope of the optimized Fisher delta-phi against N."""
+    """Fitted log-log slope against N of the Fisher delta-phi of best_precision."""
     rows = precision_sweep(n_values, "fisher")
     if len(rows) < 2:
         raise ValueError("a slope needs at least two photon numbers")

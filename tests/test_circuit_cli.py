@@ -1,6 +1,5 @@
 """Tests for the circuit JSON schema, its runner, and the command-line front end."""
 
-import dataclasses
 import json
 import math
 import os
@@ -512,20 +511,6 @@ def test_cli_fgbs_prob_matches_library(tmp_path, capsys):
     )
 
 
-def test_cli_fgbs_prob_refuses_a_negative_probability(tmp_path, capsys, monkeypatch):
-    path = write_circuit(tmp_path, MIXER_2)
-    # Every circuit source is pure, whose values are squares: the prefactor is negated.
-    build = fgbs.build_distribution
-    monkeypatch.setattr(fgbs, "build_distribution",
-                        lambda state: dataclasses.replace(build(state), prefactor=-1.0))
-    assert cli.main(["fgbs", "prob", "--circuit", path, "--pattern", "2,0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert error["type"] == "error" and error["exit_code"] == 1
-    assert error["message"].startswith("negative probability")
-
-
 def test_cli_missing_circuit_file(capsys):
     code = cli.main(["fgbs", "prob", "--circuit", "/no/such/file.json", "--pattern", "0"])
     assert code == 2
@@ -675,6 +660,31 @@ def test_cli_fgbs_prob_thirty_photon_pairs(tmp_path, capsys):
     assert expected == pytest.approx(5.516983947e-7, rel=1e-9)
     assert value > 0.0
     assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [100.0, 1000.0])
+def test_cli_fgbs_prob_forty_pairs_of_a_wide_pair(tmp_path, capsys, monkeypatch, s):
+    # Widths s and 1/s, then fbs: a pure source whose det(2 Sigma) rounds above 1 + 1e-9.
+    # P(40, 40) = (1 - lam^2) lam^80 with lam = (s^2 - 1) / (s^2 + 1), from B's 41^2 box.
+    doc = {
+        "modes": 2,
+        "inputs": [{"type": "gaussian", "width": s}, {"type": "gaussian", "width": 1.0 / s}],
+        "ops": [{"gate": "fbs", "targets": [0, 1]}],
+    }
+    argv = ["fgbs", "prob", "--circuit", write_circuit(tmp_path, doc), "--pattern", "40,40"]
+    lam = (s * s - 1.0) / (s * s + 1.0)
+    assert cli.main(argv) == 0
+    value = json.loads(capsys.readouterr().out)["probability"]
+    assert value == pytest.approx((1.0 - lam**2) * lam**80, rel=1e-9, abs=0.0)
+    monkeypatch.setenv("TFSIM_MAX_COST", "1681")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["probability"] == value
+    monkeypatch.setenv("TFSIM_MAX_COST", "1680")
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "cost-guard" and "costs 1681 " in err["message"]
 
 
 @pytest.mark.parametrize("value", ["abc", "1e9", "-5", "1.5", "0x10"])

@@ -41,7 +41,6 @@ def test_vacuum_distribution_is_trivial():
     dist = fgbs.build_distribution(g.vacuum_state(2))
     assert np.max(np.abs(dist.a_matrix)) == 0.0
     assert dist.prefactor == pytest.approx(1.0, rel=1e-14)
-    assert dist.is_pure
     assert fgbs.probability(dist, (0, 0)) == 1.0
     assert fgbs.probability(dist, (1, 0)) == 0.0
     assert fgbs.probability(dist, (2, 2)) == pytest.approx(0.0, abs=1e-15)
@@ -92,6 +91,22 @@ def tmsv_distribution(s):
     return fgbs.build_distribution(g.apply(state, "fbs", (0, 1)))
 
 
+@pytest.mark.parametrize("s", [100.0, 1000.0])
+def test_wide_two_mode_squeezing_is_pure_at_forty_pairs(s, monkeypatch):
+    # At widths 100 and 1000, det(2 Sigma) rounds to 1 + 4e-9 and 1 + 7e-5, but A's
+    # off-diagonal block stays at rounding noise times the condition number of Sigma_Q:
+    # the source is pure and P(40, 40) = (1 - lam^2) lam^80, lam = (s^2 - 1) / (s^2 + 1),
+    # reads B's 41^2 = 1681-entry box.
+    dist = tmsv_distribution(s)
+    lam = (s * s - 1.0) / (s * s + 1.0)
+    monkeypatch.setenv("TFSIM_MAX_COST", "1681")
+    assert fgbs.probability(dist, (40, 40)) == pytest.approx((1.0 - lam**2) * lam**80,
+                                                             rel=1e-9, abs=0.0)
+    monkeypatch.setenv("TFSIM_MAX_COST", "1680")
+    with pytest.raises(CostGuardError, match="pattern \\(40, 40\\) costs 1681 "):
+        fgbs.probability(dist, (40, 40))
+
+
 @pytest.mark.parametrize("s", [1.5, 3.0])
 def test_two_mode_squeezing_ladder_to_thirty_photons(s):
     # P(n, n) = tanh(r)^(2n) / cosh(r)^2 stays exact far past n <= 8; at
@@ -129,37 +144,11 @@ def test_single_mode_squeezing_to_sixty_photons():
         assert fgbs.probability(dist, (2 * k,)) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
-def test_thermal_source_populates_odd_orders():
-    # A mixed single-mode source with covariance (nbar + 1/2) I is thermal in
-    # the mode ladder: P(n) = nbar^n / (nbar + 1)^(n+1), odd orders included.
-    nbar = 0.5
-    state = g.GaussianTFState(np.zeros(2), (nbar + 0.5) * np.eye(2))
-    dist = fgbs.build_distribution(state)
-    assert not dist.is_pure
-    for n in range(5):
-        expected = nbar**n / (nbar + 1.0) ** (n + 1)
-        assert fgbs.probability(dist, (n,)) == pytest.approx(expected, rel=1e-10)
-
-
 def hafnian_oracle(dist, pattern):
     """prefactor haf(reduce(A, n)) / n! and the same with |reduce(A, n)|."""
     reduced = hf.reduce(dist.a_matrix, np.array(pattern))
     norm = dist.prefactor / math.prod(math.factorial(v) for v in pattern)
     return norm * hf.hafnian(reduced), norm * hf.hafnian(np.abs(reduced))
-
-
-def test_mixed_sources_match_hafnian_oracle():
-    # The thermal source and a single-mode marginal of a pure two-mode state
-    # are mixed: the kernel runs on the full A and fills odd totals too.
-    thermal = g.GaussianTFState(np.zeros(2), np.eye(2))
-    marginal = g.reduce_to_mode(random_two_mode_state(np.random.default_rng(3)), 1)
-    for state in (thermal, marginal):
-        dist = fgbs.build_distribution(state)
-        assert not dist.is_pure
-        for n in range(8):
-            ref, scale = hafnian_oracle(dist, (n,))
-            assert ref.real > 0.0
-            assert abs(fgbs.probability(dist, (n,)) - ref) <= 1e-12 * scale
 
 
 def wide_pure_circuit(seed, modes=100, gates=150):
@@ -266,6 +255,16 @@ def test_displaced_states_rejected():
         fgbs.oracle_probability(displaced, (0,))
 
 
+def test_mixed_states_rejected():
+    # A thermal source and a pure one under added noise: A's off-diagonal block is
+    # far above rounding noise, so neither is a pure source.
+    noisy = pinned_pure_state()
+    for state in (g.GaussianTFState(np.zeros(2), np.eye(2)),
+                  g.GaussianTFState(noisy.mean, noisy.cov + 0.05 * np.eye(6))):
+        with pytest.raises(ValueError, match="mixed states are not supported"):
+            fgbs.build_distribution(state)
+
+
 def test_oracle_guards():
     state = scaled_state(1.2)
     with pytest.raises(CostGuardError):
@@ -297,20 +296,17 @@ def test_pattern_validation():
 
 
 def test_pattern_cost_guard_parameter_and_env(monkeypatch):
-    # One unit per box entry: pattern (2, 2) fills a 3^2 = 9-entry box of B for a pure
-    # source and a 3^4 = 81-entry box of A for a mixed one; so does a cutoff-2 table.
-    pure = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
-    mixed = fgbs.build_distribution(g.GaussianTFState(np.zeros(4), np.eye(4)))
-    assert not mixed.is_pure
-    for dist, units in ((pure, 9), (mixed, 81)):
-        monkeypatch.setenv("TFSIM_MAX_COST", str(units))
-        assert fgbs.probability(dist, (2, 2)) >= 0.0
-        assert fgbs.total_probability(dist, cutoff=2) >= 0.0
-        monkeypatch.setenv("TFSIM_MAX_COST", str(units - 1))
-        with pytest.raises(CostGuardError, match=f"pattern \\(2, 2\\) costs {units} "):
-            fgbs.probability(dist, (2, 2))
-        with pytest.raises(CostGuardError, match=f"cutoff 2 costs {units} "):
-            fgbs.total_probability(dist, cutoff=2)
+    # One unit per box entry: pattern (2, 2) fills a 3^2 = 9-entry box of B; so does a
+    # cutoff-2 table.
+    dist = fgbs.build_distribution(scaled_state(1.3, n_modes=2))
+    monkeypatch.setenv("TFSIM_MAX_COST", "9")
+    assert fgbs.probability(dist, (2, 2)) >= 0.0
+    assert fgbs.total_probability(dist, cutoff=2) >= 0.0
+    monkeypatch.setenv("TFSIM_MAX_COST", "8")
+    with pytest.raises(CostGuardError, match="pattern \\(2, 2\\) costs 9 "):
+        fgbs.probability(dist, (2, 2))
+    with pytest.raises(CostGuardError, match="cutoff 2 costs 9 "):
+        fgbs.total_probability(dist, cutoff=2)
 
 
 def test_cost_limit_rejects_negative_and_malformed_values(monkeypatch):
@@ -362,17 +358,9 @@ def pinned_pure_state():
     return g.apply(state, "fbs", (1, 2))
 
 
-def pinned_mixed_state():
-    state = g.apply(g.vacuum_state(2), "scale", (0,), s=1.3)
-    state = g.apply(state, "fbs", (0, 1))
-    return g.GaussianTFState(state.mean, state.cov + 0.05 * np.eye(4))
-
-
 @pytest.mark.parametrize("make_state, cutoff, first, digest", [
     (pinned_pure_state, 8, [(0, 0, 0)] * 5 + [(1, 0, 1)],
      "fcf93d9d36b1bcfed8601d26aee85179a11ec4832fdd1b5781726cb83b1eea6f"),
-    (pinned_mixed_state, 6, [(0, 0)] * 5 + [(0, 3)],
-     "9a76fc9655a0aaab8228e9b600df1da06f428aaf0bedd19d6c8ec167fcdeed50"),
 ])
 def test_seeded_samples_are_pinned(make_state, cutoff, first, digest):
     # Which pattern each seeded draw becomes: the table's order, its CDF and the draw.
@@ -439,37 +427,6 @@ def test_enumeration_rejects_negative_cutoff():
             call()
 
 
-def test_negative_probability_is_refused_by_both_routes(monkeypatch):
-    # One pattern and a table share one finish: a kernel value whose probability is
-    # below -1e-9 is an ArithmeticError on either route, and both clip above it to 0.
-    # A pure source's hafnians are squares, so the source is thermal.
-    dist = fgbs.build_distribution(g.GaussianTFState(np.zeros(2), np.eye(2)))
-    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-6 + 0j))
-    for call in (
-        lambda: fgbs.probability(dist, (2,)),
-        lambda: fgbs.total_probability(dist, cutoff=2),
-        lambda: fgbs.probability_table_csv(dist, cutoff=2),
-        lambda: fgbs.sample(dist, shots=1, rng_seed=0, cutoff=2),
-    ):
-        with pytest.raises(ArithmeticError, match="negative probability"):
-            call()
-    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, -1e-12 + 0j))
-    assert fgbs.probability_table_csv(dist, cutoff=1) == "pattern,probability\n0,0\n1,0\n"
-    assert fgbs.probability(dist, (1,)) == 0.0
-
-
-def test_imaginary_residue_is_refused_for_a_mixed_source(monkeypatch):
-    # A mixed source reads the complex diagonal of A's box: an imaginary part above
-    # IMAG_TOL is an ArithmeticError. One at the tolerance's scale is dropped.
-    dist = fgbs.build_distribution(g.GaussianTFState(np.zeros(2), np.eye(2)))
-    assert not dist.is_pure
-    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, 0.5 + 1e-6j))
-    with pytest.raises(ArithmeticError, match="imaginary residue"):
-        fgbs.probability(dist, (1,))
-    monkeypatch.setattr(fgbs, "hafnian_box", lambda a, sides: np.full(sides, 0.5 + 1e-13j))
-    assert fgbs.probability(dist, (1,)) == 0.5 * dist.prefactor
-
-
 def test_samples_to_jsonl():
     text = fgbs.samples_to_jsonl([(0, 2), (1, 1)])
     lines = text.splitlines()
@@ -512,7 +469,6 @@ def test_pure_patterns_and_tables_equal_the_box_of_the_dense_kernel():
         n = int(rng.integers(1, 4))
         state = random_gates_state(rng, n, 0.7, 1.4)
         dist = fgbs.build_distribution(state)
-        assert dist.is_pure
         cutoff = {1: 12, 2: 6, 3: 3}[n]
         dense = dense_kernel(g.to_complex_covariance(state) + 0.5 * np.eye(2 * n))
         box = hf.hafnian_box(dense, [cutoff + 1] * (2 * n))
@@ -524,36 +480,53 @@ def test_pure_patterns_and_tables_equal_the_box_of_the_dense_kernel():
         assert np.max(np.abs(np.array(singles) - expected)) <= tol
 
 
+def total_index_distribution(state, k_max):
+    """P(K) of the total index K = sum n_i for K <= k_max, from the generating function
+    sum_K P(K) z^K = prod_i (1/2 + mu_i + (1/2 - mu_i) z)^(-1/2) over the eigenvalues mu_i
+    of Sigma_c; no hafnian and no box. Each factor is the binomial series
+    (mu_i + 1/2)^(-1/2) sum_k C(2k, k) ((mu_i - 1/2) / (4 (mu_i + 1/2)))^k z^k."""
+    series = np.zeros(k_max + 1)
+    series[0] = 1.0
+    for mu in np.linalg.eigvalsh(g.to_complex_covariance(state)):
+        ratio = (mu - 0.5) / (4.0 * (mu + 0.5))
+        factor = [math.comb(2 * k, k) * ratio**k / math.sqrt(mu + 0.5) for k in range(k_max + 1)]
+        series = np.convolve(series, factor)[:k_max + 1]
+    return series
+
+
+def test_pure_tables_match_the_total_index_generating_function():
+    # A cutoff-8 table holds every pattern of total index K <= 8.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        state = random_gates_state(rng, n, 0.5, 2.0)
+        probs = fgbs._cutoff_box(fgbs.build_distribution(state), 8)
+        totals = np.indices(probs.shape).sum(axis=0).ravel()
+        by_total = np.bincount(totals, weights=probs.ravel())[:9]
+        assert np.max(np.abs(by_total - total_index_distribution(state, 8))) <= 1e-13
+
+
 def test_table_equals_per_pattern_probabilities_bit_for_bit():
     # One cutoff box for the table, one box of the nonzero modes per pattern:
-    # the values must agree exactly, for pure and mixed sources on 1-3 modes.
+    # the values must agree exactly, on pure sources of 1-3 modes.
     rng = np.random.default_rng(2024)
     for trial in range(60):
         n = int(rng.integers(1, 4))
-        state = g.vacuum_state(n)
-        for _ in range(6):
-            mode = int(rng.integers(n))
-            if n > 1 and rng.random() < 0.4:
-                state = g.apply(state, "fbs", (mode, (mode + 1) % n))
-            elif rng.random() < 0.5:
-                state = g.apply(state, "frft", (mode,), phi=float(rng.uniform(0, 2 * np.pi)))
-            else:
-                state = g.apply(state, "scale", (mode,), s=float(rng.uniform(0.7, 1.4)))
-        if trial % 3 == 0:
-            state = g.GaussianTFState(state.mean, state.cov + 0.1 * np.eye(2 * n))
-        dist = fgbs.build_distribution(state)
+        dist = fgbs.build_distribution(random_gates_state(rng, n, 0.7, 1.4))
         cutoff = int(rng.integers(2, {1: 14, 2: 8, 3: 5}[n]))
         probs = fgbs._cutoff_box(dist, cutoff)
         for pattern, value in zip(np.ndindex(probs.shape), probs.ravel().tolist()):
-            assert max(fgbs.probability(dist, pattern), 0.0) == value, (trial, pattern)
+            assert fgbs.probability(dist, pattern) == value, (trial, pattern)
 
 
 def test_distribution_prefactor_matches_purity():
+    # prefactor = |det Sigma_Q|^{-1/2} with Sigma_Q = Sigma_c + I/2.
     rng = np.random.default_rng(55)
     state = random_two_mode_state(rng)
     dist = fgbs.build_distribution(state)
-    assert dist.is_pure
     assert dist.n_modes == 2
+    sigma_q = g.to_complex_covariance(state) + 0.5 * np.eye(4)
+    assert dist.prefactor == pytest.approx(abs(np.linalg.det(sigma_q)) ** -0.5, rel=1e-12)
     # Symmetric kernel with spectral radius below 1.
     assert np.max(np.abs(dist.a_matrix - dist.a_matrix.T)) < 1e-12
     assert np.max(np.abs(np.linalg.eigvals(dist.a_matrix))) < 1.0
@@ -577,30 +550,23 @@ def kernel_states():
     rng = np.random.default_rng(61)
     for trial in range(24):
         n = trial % 4 + 1
-        state = random_gates_state(rng, n, 0.5, 2.0)
-        if trial % 3 == 0:  # mixed
-            state = g.GaussianTFState(state.mean, state.cov + 0.2 * np.eye(2 * n))
-        yield state
+        yield random_gates_state(rng, n, 0.5, 2.0)
     yield ct.run_circuit(ct.parse_circuit(json.dumps(wide_pure_circuit(seed=9))))
 
 
 def test_kernel_is_the_dense_block_swap_byte_for_byte():
     # build_distribution permutes the rows of I - Sigma_Q^-1 instead of
     # multiplying by X; the product only adds exact zeros, so A is unchanged.
-    # A pure source keeps the top-left block B and stores B (+) conj(B): the
-    # dense kernel's off-diagonal block it drops is rounding noise.
+    # The source is pure, so A keeps the top-left block B and stores B (+) conj(B):
+    # the dense kernel's off-diagonal block it drops is rounding noise.
     for state in kernel_states():
-        dist = fgbs.build_distribution(state)
-        a = dist.a_matrix
+        a = fgbs.build_distribution(state).a_matrix
         n = state.n_modes
         sigma_q = g.to_complex_covariance(state) + 0.5 * np.eye(2 * n)
         dense = dense_kernel(sigma_q)
-        if dist.is_pure:
-            b, zero = dense[:n, :n], np.zeros((n, n))
-            assert np.array_equal(a, np.block([[b, zero], [zero, b.conj()]])), n
-            assert np.max(np.abs(dense[:n, n:])) <= 1e-15, n
-        else:
-            assert np.array_equal(a, dense), n
+        b, zero = dense[:n, :n], np.zeros((n, n))
+        assert np.array_equal(a, np.block([[b, zero], [zero, b.conj()]])), n
+        assert np.max(np.abs(dense[:n, n:])) <= 1e-15, n
         # And from Sigma_Q = W Sigma W^dagger + I/2 built with the dense W.
         eye = np.eye(n)
         w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)

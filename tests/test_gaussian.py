@@ -316,7 +316,7 @@ def test_checked_states_are_read_only_copies():
         (state.cov, cov),
         (SpectralState(one, 1.0).coeffs, one),
         (JointSpectralAmplitude(two).coeffs, two),
-        (FgbsDistribution(a, 1.0, True).a_matrix, a),
+        (FgbsDistribution(a, 1.0).a_matrix, a),
     ]
     for stored, given in checked:
         assert np.array_equal(stored, given)
