@@ -11,6 +11,10 @@ Values the fast path cannot certify (ties, a misjudged e10, |x| outside
 [1e-280, 1e280], inf, nan) get Python's own ``%``; zeros print as ``0`` and
 ``-0`` directly. See Loitsch, "Printing floating-point numbers quickly and
 accurately with integers" (PLDI 2010) for the certify-or-fall-back design.
+
+A text is a cell of FLOAT_WIDTH bytes gathered from its value's source row by
+the template of its (sign, notation class, trailing zeros): the (sign, class)
+one with the NUL pad byte in place of the dropped zeros and of a bare point.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ _TIE_MARGIN = 1e-6  # y is within 1e-14, so a fraction this far from 1/2 rounds 
 _Y_LOW, _Y_HIGH = 1e16 + 4, 1e17 - 32  # fl(y) beyond these could round to 16 or 18 digits
 
 # Byte positions in each value's 28-byte source row: d0 '.' '0' '-', digits
-# d1..d16, |e10| as four digits, then 'e' '+' '-' and a pad byte.
+# d1..d16, |e10| as four digits, then 'e' '+' '-' and a NUL pad byte.
 _DOT, _ZERO, _MINUS, _EXP = 1, 2, 3, 20
 _E, _PLUS, _EMINUS, _PAD = 24, 25, 26, 27
 _DIGITS = [0, *range(4, 20)]  # d0..d16
@@ -40,36 +44,39 @@ _LE_U4 = np.dtype("<u4")
 _FIXED, _ZERO_CLASS, _CLASSES = 21, 25, 26
 
 
-def _template(negative, cls, tz):
-    """Source positions of the text of one (sign, notation class, trailing zeros) key."""
+def _template(negative, cls):
+    """Source positions of the text of one (sign, notation class), all 17 digits shown."""
     seq = [_MINUS] if negative else []
-    keep = 17 - tz
     if cls == _ZERO_CLASS:
         return seq + [_ZERO]
     if cls < _FIXED:
         e10 = cls - 4
         if e10 < 0:
-            return seq + [_ZERO, _DOT] + [_ZERO] * (-e10 - 1) + _DIGITS[:keep]
-        fraction = _DIGITS[e10 + 1 : keep]
-        return seq + _DIGITS[: e10 + 1] + ([_DOT] + fraction if fraction else [])
+            return seq + [_ZERO, _DOT] + [_ZERO] * (-e10 - 1) + _DIGITS
+        return seq + _DIGITS[: e10 + 1] + [_DOT] * (e10 < 16) + _DIGITS[e10 + 1 :]
     exp_negative, three = divmod(cls - _FIXED, 2)
-    fraction = _DIGITS[1:keep]
-    seq += _DIGITS[:1] + ([_DOT] + fraction if fraction else [])
-    return seq + [_E, _EMINUS if exp_negative else _PLUS, *range(_EXP + 2 - three, _EXP + 4)]
+    seq += [_DIGITS[0], _DOT, *_DIGITS[1:], _E, _EMINUS if exp_negative else _PLUS]
+    return seq + list(range(_EXP + 2 - three, _EXP + 4))
 
 
 @cache
 def _layout():
-    """Four-digit ASCII groups, their trailing zeros, and the key templates."""
+    """Four-digit ASCII groups, their trailing zeros, and the templates of every
+    (sign, notation class, trailing zeros) key."""
     g = np.arange(10_000)
     chars = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
     groups = sum(((c + 48) << (8 * i) for i, c in enumerate(chars)), np.zeros_like(g))
     trailing = sum((g % 10**j == 0).astype(np.int32) for j in range(1, 4)) + (g == 0)
-    keys = [(neg, cls, tz) for neg in (0, 1) for cls in range(_CLASSES) for tz in range(17)]
-    seqs = [_template(*key) for key in keys]
-    templates = np.array([seq + [_PAD] * (FLOAT_WIDTH - len(seq)) for seq in seqs], np.intp)
-    lengths = np.array([len(seq) for seq in seqs])
-    return groups.astype(_LE_U4), trailing.astype(np.int32), templates, lengths
+    seqs = [_template(neg, cls) for neg in (0, 1) for cls in range(_CLASSES)]
+    base = np.array([seq + [_PAD] * (FLOAT_WIDTH - len(seq)) for seq in seqs], np.intp)
+    # Fraction digit d_p (source position p + 3) is one of tz trailing zeros when
+    # p >= 17 - tz; the point goes with the fraction's first digit; rank 0 shows.
+    fraction = np.cumsum(base == _DOT, axis=1) > 0
+    rank = np.where(fraction & (base > _MINUS) & (base < _EXP), base - 3, 0)
+    dots = np.nonzero(base == _DOT)
+    rank[dots] = rank[dots[0], dots[1] + 1]
+    templates = np.where(rank[:, None] >= np.arange(17, 0, -1)[:, None], _PAD, base[:, None])
+    return groups.astype(_LE_U4), trailing.astype(np.int32), templates.reshape(-1, FLOAT_WIDTH)
 
 
 def _split(a):
@@ -119,9 +126,9 @@ def _decimal(v):
 
 
 def float_cells(values):
-    """Left-aligned bytes and mask of the 17-digit text of each float64 value."""
+    """NUL-padded bytes of the 17-digit text of each float64 value."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    groups, trailing, templates, lengths = _layout()
+    groups, trailing, templates = _layout()
     fast, n, e10 = _decimal(v)
     zero = v == 0.0
     n[~fast] = 10**16
@@ -147,11 +154,9 @@ def float_cells(values):
     index = np.take(templates, key, axis=0)
     index += np.arange(0, 28 * v.size, 28)[:, None]
     chars = np.take(source.view(np.uint8).reshape(-1), index)
-    mask = np.arange(FLOAT_WIDTH) < np.take(lengths, key)[:, None]
     slow = np.flatnonzero(~(fast | zero))
     if slow.size:
-        slow_chars, slow_mask = text_cells(["%.17g" % x for x in v[slow].tolist()])
+        slow_chars = text_cells(["%.17g" % x for x in v[slow].tolist()])
+        chars[slow] = 0
         chars[slow, : slow_chars.shape[1]] = slow_chars
-        mask[slow] = False
-        mask[slow, : slow_chars.shape[1]] = slow_mask
-    return chars, mask
+    return chars

@@ -3,11 +3,12 @@
 A table is a header plus rows, and each row is a sequence of pieces: literal
 strings and columns (:func:`floats`, :func:`ints`, :func:`texts`). Each
 column formats a chunk of rows into a block of bytes, one row of the block
-per table row, with a mask marking which bytes are text. :func:`chunks`
-stacks the blocks of :data:`CHUNK_ROWS` rows side by side and yields the
-masked bytes in row order as one string, so the CLI's one sink, which writes
-each chunk as it comes, holds one chunk of the table at a time;
-:func:`table_text` grows the chunks into the one string a library writer returns.
+per table row, each cell padded to the block's width with NUL bytes, so no
+text may contain NUL. :func:`chunks` stacks the blocks of :data:`CHUNK_ROWS`
+rows side by side and yields their bytes in row order, the NULs deleted, as
+one string, so the CLI's one sink, which writes each chunk as it comes, holds
+one chunk of the table at a time; :func:`table_text` grows the chunks into the
+one string a library writer returns.
 
 Floats are formatted by :mod:`tfsim._float_text`, imported on first use so
 that importing the CLI does not compile it.
@@ -23,44 +24,34 @@ CHUNK_ROWS = 8192
 
 
 def int_cells(values):
-    """Right-aligned bytes and mask of ``str(v)`` for each integer value."""
+    """NUL-padded bytes of ``str(v)`` for each integer value, the sign in column 0."""
     v = np.asarray(values, dtype=np.int64).ravel()
-    negative = v < 0
     magnitude = np.abs(v).view(np.uint64)  # exact for -2^63 too
     digits = len(str(int(magnitude.max(initial=0))))
-    chars = np.empty((v.size, digits + 1), dtype=np.uint8)
-    count = np.ones(v.size, dtype=np.intp)
-    q = magnitude
-    for col in range(digits, 0, -1):
+    chars = np.zeros((v.size, digits + 1), dtype=np.uint8)
+    chars[:, 0] = (v < 0) * ord("-")
+    q, units = np.divmod(magnitude, 10)
+    chars[:, digits] = units + 48
+    for col in range(digits - 1, 0, -1):
+        shown = q > 0  # no leading zeros
         q, r = np.divmod(q, 10)
-        chars[:, col] = r + 48
-        count += q > 0
-    start = digits + 1 - count - negative
-    chars[negative, start[negative]] = ord("-")
-    return chars, np.arange(digits + 1) >= start[:, None]
+        chars[:, col] = (r + 48) * shown
+    return chars
 
 
 def text_cells(strings):
-    """Left-aligned UTF-8 bytes and mask of each string."""
+    """NUL-padded UTF-8 bytes of each string."""
     data = [s.encode("utf-8") for s in strings]
-    sizes = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    mask = np.arange(int(sizes.max(initial=0))) < sizes[:, None]
-    chars = np.zeros(mask.shape, dtype=np.uint8)
-    chars[mask] = np.frombuffer(b"".join(data), dtype=np.uint8)
-    return chars, mask
+    width = max(map(len, data), default=0)
+    cells = b"".join(d.ljust(width, b"\0") for d in data)
+    return np.frombuffer(cells, dtype=np.uint8).reshape(len(data), width)
 
 
-def _column(cells, codes):
-    chars, mask = cells
+def _column(chars, codes):
     if codes is None:
-        return lambda lo, hi: (chars[lo:hi], mask[lo:hi])
+        return lambda lo, hi: chars[lo:hi]
     pick = codes if callable(codes) else lambda lo, hi, codes=np.asarray(codes): codes[lo:hi]
-
-    def column(lo, hi):
-        rows = pick(lo, hi)
-        return np.take(chars, rows, axis=0), np.take(mask, rows, axis=0)
-
-    return column
+    return lambda lo, hi: np.take(chars, pick(lo, hi), axis=0)
 
 
 def floats(values, codes=None):
@@ -88,10 +79,7 @@ def texts(strings, codes=None):
 
 def _literal(text):
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    return lambda lo, hi: (
-        np.broadcast_to(data, (hi - lo, data.size)),
-        np.broadcast_to(True, (hi - lo, data.size)),
-    )
+    return lambda lo, hi: np.broadcast_to(data, (hi - lo, data.size))
 
 
 def chunks(header, row, n_rows):
@@ -101,10 +89,9 @@ def chunks(header, row, n_rows):
     pieces = [_literal(piece) if isinstance(piece, str) else piece for piece in row]
     yield header
     for lo in range(0, n_rows, CHUNK_ROWS):
-        blocks = [piece(lo, min(lo + CHUNK_ROWS, n_rows)) for piece in pieces]
-        chars = np.concatenate([b[0] for b in blocks], axis=1)
-        mask = np.concatenate([b[1] for b in blocks], axis=1)
-        yield chars[mask].tobytes().decode("utf-8")
+        hi = min(lo + CHUNK_ROWS, n_rows)
+        chars = np.concatenate([piece(lo, hi) for piece in pieces], axis=1)
+        yield chars.tobytes().translate(None, b"\0").decode("utf-8")
 
 
 def table_text(header, row, n_rows):

@@ -156,8 +156,8 @@ def _cmd_fgbs_sample(args):
     from ._text import chunks
 
     dist = fgbs.build_distribution(_load_state(args.circuit))
-    samples = fgbs.sample(dist, args.shots, args.seed, args.cutoff)
-    return chunks(*fgbs._samples_table(samples))
+    patterns, codes = fgbs._draw(dist, args.shots, args.seed, args.cutoff)
+    return chunks(*fgbs._samples_table(patterns, codes))
 
 
 def _cmd_wigner(args):

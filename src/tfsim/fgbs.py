@@ -209,16 +209,8 @@ def total_probability(dist, cutoff):
     return float(_cutoff_box(dist, cutoff).sum())
 
 
-def sample(dist, shots, rng_seed, cutoff):
-    """Draw detection patterns by CDF inversion over the cutoff box.
-
-    Each shot costs one unit against the guard, charged before the box is
-    filled or anything drawn. The truncation must capture at least
-    MASS_REQUIREMENT of the distribution, else :class:`InsufficientMassError`
-    reports the achieved mass. Only the drawn box entries become pattern
-    tuples, shared by the shots that drew them. Identical seeds give identical
-    sequences.
-    """
+def _draw(dist, shots, rng_seed, cutoff):
+    """The drawn patterns, distinct and in box order, and each shot's index into them."""
     shots, rng_seed = _check_int(shots, "shots"), _check_int(rng_seed, "rng_seed")
     _check_cost(shots, f"{shots} shots")
     box = _cutoff_box(dist, cutoff)
@@ -231,22 +223,36 @@ def sample(dist, shots, rng_seed, cutoff):
     idx = np.searchsorted(cdf, np.random.default_rng(rng_seed).random(shots), side="right")
     drawn = np.zeros(probs.size, dtype=bool)
     drawn[idx] = True
-    patterns = list(zip(*(m.tolist() for m in np.unravel_index(np.flatnonzero(drawn), box.shape))))
-    return [patterns[i] for i in (np.cumsum(drawn) - 1)[idx].tolist()]
+    distinct = np.flatnonzero(drawn)
+    patterns = list(zip(*(m.tolist() for m in np.unravel_index(distinct, box.shape))))
+    return patterns, np.searchsorted(distinct, idx)
 
 
-def _samples_table(samples):
-    """The samples' JSON lines as (header, row pieces, row count)."""
-    distinct = {}
-    codes = np.fromiter((distinct.setdefault(tuple(p), len(distinct)) for p in samples), np.intp)
-    patterns = texts((", ".join(map(str, map(int, p))) for p in distinct), codes)
+def sample(dist, shots, rng_seed, cutoff):
+    """Draw detection patterns by CDF inversion over the cutoff box.
+
+    Each shot costs one unit against the guard, charged before the box is
+    filled or anything drawn. The truncation must capture at least
+    MASS_REQUIREMENT of the distribution, else :class:`InsufficientMassError`
+    reports the achieved mass. The shots that drew a box entry share its
+    pattern tuple. Identical seeds give identical sequences.
+    """
+    patterns, codes = _draw(dist, shots, rng_seed, cutoff)
+    return [patterns[i] for i in codes.tolist()]
+
+
+def _samples_table(patterns, codes):
+    """JSON lines of shots drawing patterns[codes[i]], as (header, row pieces, row count)."""
+    patterns = texts((", ".join(map(str, map(int, p))) for p in patterns), codes)
     row = ['{"pattern": [', patterns, '], "shot": ', ints(np.arange(codes.size)), "}\n"]
     return "", row, codes.size
 
 
 def samples_to_jsonl(samples):
     """Serialize samples as JSON lines {"pattern": [...], "shot": i}."""
-    return table_text(*_samples_table(samples))
+    distinct = {}
+    codes = np.fromiter((distinct.setdefault(tuple(p), len(distinct)) for p in samples), np.intp)
+    return table_text(*_samples_table(distinct, codes))
 
 
 def probability_table_csv(dist, cutoff):

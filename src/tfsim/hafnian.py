@@ -109,7 +109,8 @@ def hafnian(B):
 
     Fixes the lowest remaining index, pairs it with each other remaining index,
     and recurses on the complement; subproblems are cached per index subset.
-    Accepts dimensions up to 32 (even), object dtype allowed.
+    Accepts dimensions up to 32 (even), object dtype allowed. Reads B's entries
+    as Python scalars, so it returns a Python float or complex (or an object).
 
     Raises
     ------
@@ -120,7 +121,7 @@ def hafnian(B):
     n = B.shape[0]
     if n == 0:
         return 1.0
-
+    rows = B.tolist()  # a Python scalar reads faster than a NumPy one
     memo = {}
 
     def match(mask):
@@ -137,7 +138,7 @@ def hafnian(B):
             low = remaining & -remaining
             j = low.bit_length() - 1
             remaining ^= low
-            acc = acc + B[i, j] * match(rest ^ low)
+            acc = acc + rows[i][j] * match(rest ^ low)
         memo[mask] = acc
         return acc
 
