@@ -18,6 +18,7 @@ accuracy, which the test-suite checks on random inputs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,20 +58,34 @@ def _check_sector_cost(k):
 def sector_matrix(k):
     """Unitary action of the FBS on the total-index-k sector.
 
-    Returns a new read-only (k+1) x (k+1) real orthogonal matrix U with
-    C_out[r, k-r] = sum_n U[r, n] C_in[n, k-n]: the spin-k/2 rotation
-    R exp(i pi/2 J_x) R^dagger, R = diag(e^{-i pi n/2}), from the eigenvectors
-    of the tridiagonal J_x = V diag(m) V^T (m = -k/2..k/2 exactly; the product
-    V diag(e^{i pi m/2}) V^T does not depend on the eigenvectors' signs).
+    Returns a new read-only (k+1) x (k+1) real orthogonal matrix U with C_out[r, k-r] = sum_n
+    U[r, n] C_in[n, k-n]: the spin-k/2 rotation R exp(i pi/2 J_x) R^dagger, R = diag(e^{-i pi n/2}),
+    in O(k^2) with no LAPACK or BLAS, from row 0 and the J_x three-term (Krawtchouk) recurrence.
     """
-    k = _check_int(k, "k")
-    _check_sector_cost(k)
-    n = np.arange(k + 1)
-    off = np.sqrt((n[:-1] + 1.0) * (k - n[:-1])) / 2.0
-    _, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    rotation = (v * np.exp(0.5j * np.pi * (n - k / 2.0))) @ v.T
-    r = np.array([1.0, -1.0j, -1.0, 1.0j])[n % 4]
-    u = (r[:, None] * rotation * r.conj()).real
+    k = _check_sector_cost(_check_int(k, "k"))
+    n, h = np.arange(k + 1), k // 2
+    # U[0, j] = (-1)^j sqrt(z) 2^-((k+1)//2), z = C(k, j) 2^(k%2); float(2r + sticky) rounds once.
+    roots, z = [], 1 << (k & 1)
+    for j in range(h + 1):
+        t = 60 - z.bit_length() // 2  # r = floor(sqrt(z) 2^t) has about 60 bits
+        y, lost = divmod(z << max(0, 2 * t), 1 << max(0, -2 * t))
+        r = math.isqrt(y)
+        roots.append((2 * r + (r * r != y or lost != 0), -t - 1))
+        z = z * (k - j) // (j + 1)
+    m, e = np.array(roots + roots[: k - h][::-1]).T
+    prev, cur, blocks = np.zeros(k + 1), m * (-1.0) ** n, [e - (k + 1) // 2]
+    lam, c = k / 2.0 - n, (np.sqrt((n[:-1] + 1.0) * (k - n[:-1])) / 2.0).tolist()
+    # Rows 64b-63..64b carry exponents blocks[b]: a row is <= sqrt(k) + 1 times the two before it.
+    u = np.empty((k + 1, k + 1))
+    u[0] = cur
+    for r in range(h):
+        if r % 64 == 0:
+            s = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
+            prev, cur = np.ldexp(prev, -s), np.ldexp(cur, -s)
+            blocks.append(blocks[-1] + s)
+        prev, cur = cur, np.divide(lam * cur - c[r - 1] * prev, c[r], out=u[r + 1])
+    np.ldexp(u[: h + 1], np.array(blocks, np.int32)[(n[: h + 1] + 63) // 64], out=u[: h + 1])
+    u[h + 1 :] = u[: k - h][::-1] * (-1.0) ** n
     # Average in the two exchange symmetries, U[r, n] = (-1)^(k-r) U[r, k-n] =
     # (-1)^n U[k-r, n], so that the amplitudes they forbid are exactly zero.
     u = 0.5 * (u + (-1.0) ** (k - n)[:, None] * u[:, ::-1])

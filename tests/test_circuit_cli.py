@@ -960,6 +960,22 @@ def test_console_entry_point_runs():
     assert payload["coincidence"]["probability"] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cli_hom_bytes_do_not_depend_on_the_blas_thread_count():
+    # sector_matrix calls no BLAS or LAPACK, so hom --n 100 (sector k = 200) prints the
+    # same bytes at one and at two OpenBLAS threads.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "tfsim.cli", "hom", "--n", "100"],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+
+
 def _child_json(code, cwd=None):
     """Run ``code`` in a fresh interpreter on this source tree; parse its last stdout line."""
     src = str(Path(cli.__file__).resolve().parents[1])

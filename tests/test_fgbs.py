@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ def test_wide_two_mode_squeezing_is_pure_at_forty_pairs(s, monkeypatch):
     monkeypatch.setenv("TFSIM_MAX_COST", "1680")
     with pytest.raises(CostGuardError, match="pattern \\(40, 40\\) costs 1681 "):
         fgbs.probability(dist, (40, 40))
+
+
+@pytest.mark.parametrize("s", [3.0, 100.0, 1000.0, 1e4])
+def test_forty_pairs_of_a_wide_pair_hold_the_stated_accuracy(s, monkeypatch):
+    # README's accuracy statement for fgbs prob: P(40, 40) of the width-s pair is within
+    # 40 kappa eps of (1 - lam^2) lam^80, lam = (s^2 - 1) / (s^2 + 1) taken exactly, where
+    # kappa = s^2 is the condition number of Sigma_Q (measured 7.3e-14, 7.4e-11, 0, 3.0e-7).
+    monkeypatch.setenv("TFSIM_MAX_COST", "1681")
+    lam = Fraction(round(s * s) - 1, round(s * s) + 1)
+    expected = float((1 - lam**2) * lam**80)
+    p = fgbs.probability(tmsv_distribution(s), (40, 40))
+    assert abs(p - expected) <= 40 * s * s * np.finfo(float).eps * expected
 
 
 @pytest.mark.parametrize("s", [1.5, 3.0])

@@ -1,10 +1,14 @@
 """Tests for joint spectral amplitudes and the frequency beam splitter."""
 
+import functools
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tfsim import cli
 from tfsim import twophoton as tp
 from tfsim.exceptions import CostGuardError
 from tfsim.hg import SpectralState, decompose, hg_value
@@ -52,6 +56,7 @@ def test_sector_matrix_orthogonal_up_to_24():
         assert np.max(np.abs(u @ u.T - np.eye(k + 1))) < 1e-12
 
 
+@functools.cache
 def literal_sector_matrix(k):
     """The FBS sector matrix by expanding (a - b)^n (a + b)^m / sqrt(2^k) term by term."""
     u = np.zeros((k + 1, k + 1))
@@ -80,6 +85,61 @@ def test_sector_matrix_matches_literal_expansion_up_to_60():
         assert np.max(np.abs(tp.sector_matrix(k) - literal_sector_matrix(k))) < 1e-13
 
 
+def eigh_sector_matrix(k):
+    """The FBS sector matrix from the eigenvectors of the tridiagonal J_x = V diag(m) V^T:
+    R V diag(e^{i pi m/2}) V^T R^dagger with R = diag(e^{-i pi n/2}), averaged in the two
+    exchange symmetries (m = -k/2..k/2 exactly; the product does not depend on the
+    eigenvectors' signs). A LAPACK construction that shares no step with the recurrence."""
+    n = np.arange(k + 1)
+    off = np.sqrt((n[:-1] + 1.0) * (k - n[:-1])) / 2.0
+    _, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rotation = (v * np.exp(0.5j * np.pi * (n - k / 2.0))) @ v.T
+    r = np.array([1.0, -1.0j, -1.0, 1.0j])[n % 4]
+    u = (r[:, None] * rotation * r.conj()).real
+    u = 0.5 * (u + (-1.0) ** (k - n)[:, None] * u[:, ::-1])
+    return 0.5 * (u + (-1.0) ** n * u[::-1])
+
+
+def test_sector_matrix_matches_the_eigh_construction_up_to_200():
+    for k in range(201):
+        assert np.max(np.abs(tp.sector_matrix(k) - eigh_sector_matrix(k))) <= 1e-14
+
+
+def recurrence_residual(u):
+    """max |U diag(n - k/2) - T U|, T[r, r+1] = T[r+1, r] = -sqrt((r+1)(k-r))/2, without BLAS."""
+    k = u.shape[0] - 1
+    n = np.arange(k + 1)
+    c = np.sqrt((n[:-1] + 1.0) * (k - n[:-1]))[:, None] / 2.0
+    tu = np.zeros_like(u)
+    tu[:-1] -= c * u[1:]
+    tu[1:] -= c * u[:-1]
+    return np.max(np.abs(u * (n - k / 2.0) - tu))
+
+
+@pytest.mark.parametrize("k", [1100, 2300])
+def test_sector_matrix_beyond_the_default_guard(k, monkeypatch):
+    # Above k ~ 1074, C(k, n) / 2^k underflows a double at the edges of row 0 (its square
+    # root does above k ~ 2148), and at k = 2300 column 0 spans 2^1150: the recurrence
+    # carries a binary exponent per column, so no column is lost and U stays orthogonal.
+    monkeypatch.setenv("TFSIM_MAX_COST", str((k + 1) ** 2))
+    u = tp.sector_matrix(k)
+    gram = u @ u.T
+    gram[np.diag_indices(k + 1)] -= 1.0
+    assert np.max(np.abs(gram)) <= 1e-13
+    del gram
+    assert recurrence_residual(u) <= 1e-12
+
+
+def test_sector_matrix_zeros_are_exact_and_true():
+    # For even k, U[r, k/2] = 0 for odd r and U[k/2, n] = 0 for odd n by the exchange
+    # symmetries; no other entry is zero unless the literal expansion is.
+    for k in range(0, 201, 2):
+        u, h = tp.sector_matrix(k), k // 2
+        assert not np.any(u[1::2, h]) and not np.any(u[h, 1::2])
+    for k in range(61):
+        assert np.all((tp.sector_matrix(k) != 0) | (literal_sector_matrix(k) == 0))
+
+
 def test_sector_matrix_orthogonal_at_high_order():
     for k in (100, 200):
         u = tp.sector_matrix(k)
@@ -93,6 +153,18 @@ def test_hom_coincidence_at_high_order():
         jsa = tp.hom_output(n)
         expected = (math.comb(n, n // 2) / 2.0**n) ** 2
         assert tp.coincidence_probability(jsa, n, n) == pytest.approx(expected, rel=1e-10)
+
+
+def test_hom_coincidence_to_rounding(capsys):
+    # P(n, n) = (C(n, n/2) / 2^n)^2, at n = 100 and through the CLI at n = 498 (sector
+    # k = 996, the largest the default guard admits).
+    expected = float(Fraction(math.comb(100, 50), 2**100) ** 2)
+    p = tp.coincidence_probability(tp.hom_output(100), 100, 100)
+    assert abs(p - expected) <= 1e-14 * expected
+    assert cli.main(["hom", "--n", "498"]) == 0
+    p = json.loads(capsys.readouterr().out)["coincidence"]["probability"]
+    expected = float(Fraction(math.comb(498, 249), 2**498) ** 2)
+    assert abs(p - expected) <= 1e-12 * expected
 
 
 def test_sector_cost_guard():
