@@ -10,25 +10,27 @@ orthonormal on the real line. ``omega`` is a dimensionless detuning from the
 carrier in units set by ``sigma``. Evaluation never forms the bare Hermite
 polynomial times the Gaussian; the weighted three-term recurrence
 
-    psi_{n+1}(x) = x sqrt(2/(n+1)) psi_n(x) - sqrt(n/(n+1)) psi_{n-1}(x)
+    sqrt((n+1)/2) psi_{n+1}(x) = x psi_n(x) - sqrt(n/2) psi_{n-1}(x)
 
-is used instead, which stays finite and accurate at large ``n`` and ``|x|`` (past
-|x| = 37.6, where psi_0 underflows, it carries a power of two, as the quadrature does).
+is used instead, from psi_0 carried as a mantissa and a power of two, so it stays
+finite and accurate at large ``n`` and ``|x|`` (psi_0 underflows past |x| = 37.6; past
+sqrt(2 nmax + 1) + 40 rows 0..nmax are below 1e-365 and are returned as 0). One private
+``_recurrence`` runs it, the Gauss-Hermite weights and the FBS sector rows of
+:mod:`tfsim.twophoton`.
 
 Overlaps use the order-n Gauss-Hermite rule of :func:`gauss_hermite`: the
 square roots of the eigenvalues of the (n//2)-square Laguerre Jacobi matrix
 (alpha = -1/2, or +1/2 plus the node 0 for odd n; Golub & Welsch 1969),
 polished by Newton steps on psi_n with psi_n' = sqrt(2n) psi_{n-1} - x psi_n.
 It keeps the O(1) scaled weights W = w e^{x^2} = 1/(n psi_{n-1}(x)^2) (Townsend,
-Trogdon & Olver 2016), with psi_{n-1} carried as a mantissa and a power of two
-so that no order underflows. A rule charges (n//2)^2 units to the cost guard.
+Trogdon & Olver 2016), from the last two rows of the recurrence, so that no order
+underflows. A rule charges (n//2)^2 units to the cost guard.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -97,22 +99,40 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _scaled_rows(n, x):
-    """Yield psi_{k-1}(x), psi_k(x) for k = 0..n (psi_{-1} = 0) as mantissas times
-    2**exponent times pi^(-1/4) e^(-x^2/2)."""
-    lo, hi, exponent = np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
-    yield lo, hi, exponent
-    for k in range(n):
-        lo, hi = hi, (math.sqrt(2.0 / (k + 1)) * x) * hi - math.sqrt(k / (k + 1)) * lo
-        if k % 32 == 31:
-            shift = np.frexp(np.abs(lo) + np.abs(hi))[1]
-            lo, hi, exponent = np.ldexp(lo, -shift), np.ldexp(hi, -shift), exponent + shift
-        yield lo, hi, exponent
+def _recurrence(lam, c, first, exponent, out=None):
+    """Rows p_0..p_len(c) of c[r] p_{r+1} = lam p_r - c[r-1] p_{r-1} from p_{-1} = 0 and
+    p_0 = first 2^exponent, columnwise (Golub & Welsch 1969), on mantissas rescaled by a
+    power of two every 64 rows, whose exponents apply one 64-row block at a time. With
+    ``out`` it fills out[r] = p_r; without, it returns p_{len(c)-1} and p_len(c)."""
+    # int32 exponents: NumPy's ldexp runs about 7x faster on them than on int64.
+    prev, cur, exponent, done = np.zeros_like(first), first, np.asarray(exponent, np.int32), 0
+    if out is not None:
+        out[0] = first
+    for r in range(len(c)):
+        if r % 64 == 0:  # a row is at most (|lam| + c[r-1]) / c[r] times the two before it
+            s = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
+            prev, cur = np.ldexp(prev, -s), np.ldexp(cur, -s)
+            if out is not None:
+                np.ldexp(out[done : r + 1], exponent, out=out[done : r + 1])
+                done = r + 1
+            exponent = exponent + s
+        row = None if out is None else out[r + 1, ...]  # a view, also for 0-d lam
+        prev, cur = cur, np.divide(lam * cur - c[r - 1] * prev, c[r], out=row)
+    if out is None:
+        return np.ldexp(prev, exponent), np.ldexp(cur, exponent)
+    np.ldexp(out[done:], exponent, out=out[done:])
+    return out
 
 
-def _log_magnitude(mantissa, exponent, x):
-    """log(pi^(1/4) |psi|) of a psi that _scaled_rows gives as mantissa and exponent at x."""
-    return np.log(np.abs(mantissa)) + math.log(2.0) * exponent - 0.5 * x * x
+def _hermite_rows(nmax, x, out=None):
+    """_recurrence for psi_0..psi_nmax at x: lam = x, c_r = sqrt((r+1)/2), and psi_0 =
+    pi^(-1/4) e^(-x^2/2) as pi^(-1/4) e^(e ln2 - x^2/2) times 2^-e, e = rint(x^2/(2 ln2)),
+    with ln 2 = hi + lo split so that e * hi is exact (Cody & Waite)."""
+    h = 0.5 * x * x
+    e = np.fmax(np.rint(h / math.log(2.0)), 0.0)  # fmax maps NaN to 0; NaN stays in psi_0
+    first = np.pi**-0.25 * np.exp((e * 0.6931471803691238 - h) + e * 1.9082149292705877e-10)
+    c = np.sqrt(np.arange(1.0, nmax + 1.0) / 2.0).tolist()
+    return _recurrence(x, c, first, -e.astype(np.int32), out)
 
 
 def gauss_hermite(order):
@@ -125,8 +145,8 @@ def gauss_hermite(order):
     jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), 1)
     x = np.concatenate(([0.0] * (order % 2), np.sqrt(np.linalg.eigvalsh(jacobi, UPLO="U"))))
     for _ in range(2):  # W comes from the pass before the last step, which moves x by ~eps
-        lo, hi, exponent = deque(_scaled_rows(order, x), maxlen=1)[0]
-        scaled = math.sqrt(math.pi) / order * np.exp(-2.0 * _log_magnitude(lo, exponent, x))
+        lo, hi = _hermite_rows(order, x)
+        scaled = 1.0 / (order * lo * lo)
         x = x - hi / (math.sqrt(2.0 * order) * lo - x * hi)
     return QuadratureRule(
         np.concatenate((-x[::-1][:half], x)), np.concatenate((scaled[::-1][:half], scaled))
@@ -141,25 +161,12 @@ def hermite_functions(nmax, x):
     """
     nmax = _check_int(nmax, "nmax")
     x = np.asarray(x, dtype=float)
-    at_inf = np.isinf(x)
-    x = np.where(at_inf, 0.0, x)  # psi_n(+-inf) = 0 for every n: set below; NaN stays NaN
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if nmax >= 1:
-        out[1] = x * np.sqrt(2.0) * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = x * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
-    # Past |x| = 37.6 the seed is subnormal or 0 and the rows lose their digits: rebuild
-    # them from _scaled_rows. Where that overflows (|x| > ~1e9) every row underflows to 0.
-    rows = out.reshape(nmax + 1, -1)
-    tail = np.flatnonzero(rows[0] < np.finfo(float).tiny)
-    if tail.size:
-        xt = x.ravel()[tail]
-        with np.errstate(all="ignore"):
-            for k, (_, hi, exponent) in enumerate(_scaled_rows(nmax, xt)):
-                value = np.pi**-0.25 * np.sign(hi) * np.exp(_log_magnitude(hi, exponent, xt))
-                rows[k, tail] = np.where(np.isfinite(value), value, rows[k, tail])
-    out[:, at_inf] = 0.0
+    # Past sqrt(2 nmax + 1) + 40 (and at +-inf) every psi_n is below 1e-365: those columns
+    # are 0, which also keeps 64 rows of the recurrence from overflowing. NaN stays NaN.
+    far = np.abs(x) > math.sqrt(2 * nmax + 1) + 40.0
+    x = np.where(far, 0.0, x)
+    out = _hermite_rows(nmax, x, np.empty((nmax + 1,) + x.shape))
+    out[:, far] = 0.0
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import _check_cost, _check_int
-from .hg import SpectralState, _Amplitude, hermite_functions
+from .hg import SpectralState, _Amplitude, _recurrence, hermite_functions
 
 __all__ = [
     "JointSpectralAmplitude",
@@ -60,7 +60,8 @@ def sector_matrix(k):
 
     Returns a new read-only (k+1) x (k+1) real orthogonal matrix U with C_out[r, k-r] = sum_n
     U[r, n] C_in[n, k-n]: the spin-k/2 rotation R exp(i pi/2 J_x) R^dagger, R = diag(e^{-i pi n/2}),
-    in O(k^2) with no LAPACK or BLAS, from row 0 and the J_x three-term (Krawtchouk) recurrence.
+    in O(k^2) with no LAPACK or BLAS, from row 0 and the J_x three-term (Krawtchouk) recurrence,
+    run by :func:`tfsim.hg._recurrence` on rows 0..k//2.
     """
     k = _check_sector_cost(_check_int(k, "k"))
     n, h = np.arange(k + 1), k // 2
@@ -73,18 +74,9 @@ def sector_matrix(k):
         roots.append((2 * r + (r * r != y or lost != 0), -t - 1))
         z = z * (k - j) // (j + 1)
     m, e = np.array(roots + roots[: k - h][::-1]).T
-    prev, cur, blocks = np.zeros(k + 1), m * (-1.0) ** n, [e - (k + 1) // 2]
-    lam, c = k / 2.0 - n, (np.sqrt((n[:-1] + 1.0) * (k - n[:-1])) / 2.0).tolist()
-    # Rows 64b-63..64b carry exponents blocks[b]: a row is <= sqrt(k) + 1 times the two before it.
+    lam, c = k / 2.0 - n, (np.sqrt((n[:h] + 1.0) * (k - n[:h])) / 2.0).tolist()
     u = np.empty((k + 1, k + 1))
-    u[0] = cur
-    for r in range(h):
-        if r % 64 == 0:
-            s = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
-            prev, cur = np.ldexp(prev, -s), np.ldexp(cur, -s)
-            blocks.append(blocks[-1] + s)
-        prev, cur = cur, np.divide(lam * cur - c[r - 1] * prev, c[r], out=u[r + 1])
-    np.ldexp(u[: h + 1], np.array(blocks, np.int32)[(n[: h + 1] + 63) // 64], out=u[: h + 1])
+    _recurrence(lam, c, m * (-1.0) ** n, e - (k + 1) // 2, u[: h + 1])
     u[h + 1 :] = u[: k - h][::-1] * (-1.0) ** n
     # Average in the two exchange symmetries, U[r, n] = (-1)^(k-r) U[r, k-n] =
     # (-1)^n U[k-r, n], so that the amplitudes they forbid are exactly zero.

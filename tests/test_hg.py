@@ -1,6 +1,7 @@
 """Tests for Hermite-Gauss spectral modes and quadrature overlaps."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,16 +87,38 @@ def test_hg_value_high_order_far_tail():
 
 def test_hg_value_high_order_mpmath_cross_check():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     # Past |x| = 37.6 the seed pi^(-1/4) e^(-x^2/2) is subnormal or 0, yet large orders
-    # are O(1) there: hg_value(1000, 1, 40) is 0.17225052073279226.
-    for n, x in ((47, 8.5), (1000, 40.0), (1500, 39.0), (2000, 50.0)):
-        ref = (
-            mpmath.hermite(n, x)
-            * mpmath.exp(-x * x / 2)
-            / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
-        )
-        assert hg.hg_value(n, 1.0, x) == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+    # are O(1) there: hg_value(1000, 1, 40) is 0.17225052073279226. The grid spans that
+    # seam; where psi_n itself is subnormal or 0 (n <= 1 from x = 38.5) it must be exact.
+    grid = tuple(
+        (n, x)
+        for n in (0, 1, 5, 20, 50, 100, 300, 1000, 2000)
+        for x in (0.0, 0.37, 1.3, 4.9, 9.7, 20.3, 37.0, 38.5, 45.0, 60.2)
+    )
+    for n, x in ((47, 8.5), (1000, 40.0), (1500, 39.0), (2000, 50.0)) + grid:
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+            ref = (
+                mpmath.hermite(n, xm)
+                * mpmath.exp(-xm * xm / 2)
+                / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            )
+        assert hg.hg_value(n, 1.0, x) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+def test_hermite_tables_stay_near_their_output_size():
+    # gauss_hermite keeps two rows of the recurrence, not the order-n table (40 MB at
+    # n = 2000), and hermite_functions applies its exponents one 64-row block at a time,
+    # not through a table-sized exponent array (24.5 MB at 2001 x 1001).
+    x = np.linspace(-30.0, 30.0, 1001)
+    for call in (lambda: hg.gauss_hermite(2000), lambda: hg.hermite_functions(2000, x)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
 
 
 def test_hermite_functions_vanish_at_infinity():
