@@ -11,9 +11,10 @@ is conserved and each k-sector transforms by the orthogonal matrix of
 b -> (a + b)/sqrt2 so that C[1][1] = 1 goes to (C[2][0] - C[0][2])/sqrt2.
 
 Two evaluation paths are provided: the exact sector path (:func:`apply_fbs`)
-and a brute-force grid path (:func:`apply_fbs_grid`) that samples F, rotates
-the plane, and projects back onto the basis. They agree to quadrature
-accuracy, which the test-suite checks on random inputs.
+and a quadrature path (:func:`apply_fbs_grid`) that evaluates F at rotated
+Gauss-Hermite nodes and projects back onto the basis. The rule's order makes
+the projection exact, so the two agree to rounding, which the test-suite
+checks on random inputs up to cutoff 30.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import _check_cost, _check_int
-from .hg import SpectralState, _Amplitude, _recurrence, hermite_functions
+from .hg import SpectralState, _Amplitude, _recurrence, gauss_hermite, hermite_functions
 
 __all__ = [
     "JointSpectralAmplitude",
@@ -40,9 +41,6 @@ __all__ = [
 ]
 
 TRUNCATION_TOL = 1e-6
-#: apply_fbs_grid samples F on GRID_POINTS^2 points over +-GRID_EXTENT sigma.
-GRID_POINTS = 512
-GRID_EXTENT = 8.0
 
 
 class TruncationWarning(UserWarning):
@@ -160,27 +158,29 @@ def apply_fbs(jsa):
 
 
 def apply_fbs_grid(jsa, cutoff=None):
-    """Brute-force FBS: rotate sampled function values, project back.
+    """Quadrature FBS: evaluate F at rotated Gauss-Hermite nodes, project back.
 
-    Samples F on a GRID_POINTS x GRID_POINTS grid over +-GRID_EXTENT (in units
-    of sigma), evaluates F((x - y)/sqrt2, (x + y)/sqrt2), and recovers
-    coefficients by Riemann-sum projection onto the basis. Independent of
-    :func:`apply_fbs`; used as its oracle. The output cutoff defaults to
-    apply_fbs's size; a smaller ``cutoff`` truncates and warns with
+    For input cutoff c and output size T, F((x - y)/sqrt2, (x + y)/sqrt2) psi_i(x) psi_j(y)
+    is a polynomial of degree at most 2c + T in each of x and y times e^(-x^2 - y^2), so
+    the tensor Gauss-Hermite rule of order R = c + T//2 + 1 projects it exactly (Golub &
+    Welsch 1969); (c + 1) R^2 units, the size of F's basis tables, are charged to the cost
+    guard first. It never calls :func:`sector_matrix`: it shares with :func:`apply_fbs`
+    only ``hg._recurrence``, through :func:`~tfsim.hg.hermite_functions` and
+    :func:`~tfsim.hg.gauss_hermite`, and is used as its oracle. The output cutoff T
+    defaults to apply_fbs's size; a smaller ``cutoff`` truncates and warns with
     TruncationWarning if the discarded squared norm exceeds TRUNCATION_TOL.
     """
     kmax = _populated_kmax(jsa.coeffs)
     target = max(jsa.cutoff, kmax) if cutoff is None else _check_int(cutoff, "cutoff")
-    x = np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_POINTS)
-    dx = x[1] - x[0]
-    grid_x, grid_y = x[:, None], x[None, :]
-    u = ((grid_x - grid_y) / np.sqrt(2.0)).ravel()
-    v = ((grid_x + grid_y) / np.sqrt(2.0)).ravel()
-    pu = hermite_functions(jsa.cutoff, u)
-    pv = hermite_functions(jsa.cutoff, v)
-    rotated = np.einsum("np,np->p", pu, jsa.coeffs @ pv).reshape(GRID_POINTS, GRID_POINTS)
-    pout = hermite_functions(target, x)
-    coeffs = (pout * dx) @ rotated @ (pout.T * dx)
+    order = jsa.cutoff + target // 2 + 1
+    _check_cost((jsa.cutoff + 1) * order**2, f"FBS oracle of order {order}")
+    rule = gauss_hermite(order)
+    x, y = rule.nodes[:, None], rule.nodes[None, :]
+    pu = hermite_functions(jsa.cutoff, ((x - y) / np.sqrt(2.0)).ravel())
+    pv = hermite_functions(jsa.cutoff, ((x + y) / np.sqrt(2.0)).ravel())
+    rotated = np.einsum("np,np->p", pu, jsa.coeffs @ pv).reshape(order, order)
+    pout = hermite_functions(target, rule.nodes) * rule.scaled_weights
+    coeffs = pout @ rotated @ pout.T
     result = JointSpectralAmplitude(coeffs, jsa.sigma)
     lost = jsa.norm_squared - result.norm_squared
     if lost > TRUNCATION_TOL:

@@ -271,6 +271,27 @@ def test_best_fisher_precision_saturates_quantum_bound():
         assert float(est) == pytest.approx(bound, rel=1e-9)
 
 
+def legendre(degree, x):
+    """P_degree(x), degree >= 1, by Bonnet's recurrence
+    (l + 1) P_{l+1} = (2l + 1) x P_l - l P_{l-1}."""
+    prev, cur = np.ones_like(x), x
+    for ell in range(1, degree):
+        prev, cur = cur, ((2 * ell + 1) * x * cur - ell * prev) / (ell + 1)
+    return cur
+
+
+@pytest.mark.parametrize("n_total", [2, 20, 100, 200, 400, 998])
+def test_twin_index_parity_is_a_legendre_polynomial(n_total):
+    # Arm a's index parity on the twin probe: sum_n (-1)^n p_n(phi) = (-1)^(N/2)
+    # P_{N/2}(cos 2 phi), a closed form that checks the sector rows, the phase and the
+    # second beam splitter in O(N), and shares no code with sector_matrix.
+    phis = np.linspace(0.0, np.pi, mt.PHI_GRID_POINTS + 2)[1:-1]
+    p = mt._signal(mt._probe(n_total, None), phis)[0]
+    parity = (-1.0) ** np.arange(n_total + 1) @ p
+    expected = (-1.0) ** (n_total // 2) * legendre(n_total // 2, np.cos(2.0 * phis))
+    assert np.max(np.abs(parity - expected)) <= 1e-12
+
+
 def test_best_precision_equals_minimum_of_single_phase_calls():
     # The batched grid evaluation against one phase_precision call per phi,
     # on the twin probe and on a state with first moments.

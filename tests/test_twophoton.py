@@ -276,7 +276,7 @@ def test_apply_fbs_twice_matches_grid_quarter_turn():
         twice = tp.apply_fbs(tp.apply_fbs(jsa))
         grid_twice = tp.apply_fbs_grid(tp.apply_fbs_grid(jsa))
         hi = min(twice.cutoff, grid_twice.cutoff) + 1
-        assert np.max(np.abs(twice.coeffs[:hi, :hi] - grid_twice.coeffs[:hi, :hi])) < 2e-8
+        assert np.max(np.abs(twice.coeffs[:hi, :hi] - grid_twice.coeffs[:hi, :hi])) < 1e-13
 
 
 def test_sector_path_matches_grid_path():
@@ -286,7 +286,7 @@ def test_sector_path_matches_grid_path():
         fast = tp.apply_fbs(jsa)
         slow = tp.apply_fbs_grid(jsa)
         assert fast.coeffs.shape == slow.coeffs.shape
-        assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-8
+        assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-13
 
 
 def test_unequal_width_pair_against_grid():
@@ -297,10 +297,48 @@ def test_unequal_width_pair_against_grid():
     jsa = tp.product_jsa(wide, narrow)
     fast = tp.apply_fbs(jsa)
     slow = tp.apply_fbs_grid(jsa)
-    assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-8
+    assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-13
     # Distinguishable only in width: the dip survives partially.
     p11 = tp.coincidence_probability(fast, 1, 1)
     assert 0.0 < p11 < 0.5
+
+
+@pytest.mark.parametrize("cutoff", [20, 30])
+def test_grid_path_is_exact_at_large_cutoff(cutoff):
+    # The Gauss-Hermite order follows the input, so the oracle stays exact, with no
+    # spurious TruncationWarning, where a fixed sampling grid no longer resolves F.
+    import warnings
+
+    rng = np.random.default_rng(cutoff)
+    for _ in range(3):
+        jsa = random_jsa(rng, cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", tp.TruncationWarning)
+            slow = tp.apply_fbs_grid(jsa)
+        assert np.max(np.abs(tp.apply_fbs(jsa).coeffs - slow.coeffs)) < 1e-13
+
+
+def test_grid_path_memory_and_cost_guard(monkeypatch):
+    # A 9 x 9 product pair fills sectors up to k = 16: order R = 8 + 16 // 2 + 1 = 17 and
+    # (8 + 1) * 17^2 = 2601 units, charged before any table is allocated.
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    coeffs = rng.standard_normal((2, 9))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    jsa = tp.product_jsa(*(SpectralState(c, 1.0) for c in coeffs))
+    tracemalloc.start()
+    try:
+        tp.apply_fbs_grid(jsa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    monkeypatch.setenv("TFSIM_MAX_COST", "2600")
+    with pytest.raises(CostGuardError, match="costs 2601 "):
+        tp.apply_fbs_grid(jsa)
+    monkeypatch.setenv("TFSIM_MAX_COST", "2601")
+    tp.apply_fbs_grid(jsa)
 
 
 def test_forced_cutoff_warns_when_norm_is_lost():
